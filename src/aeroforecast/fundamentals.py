@@ -9,6 +9,7 @@ affected days.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
@@ -157,23 +158,15 @@ def quarterly_ratio_matrix(reports, bars=None):
     """(quarter dates, n_quarters x 13 matrix) of ratio features.
 
     Year-ago lookups pair report i with report i-4; the market price for
-    P/E is the close of the last bar on or before the quarter end.
+    P/E is the close of the last bar on or before the quarter end, found
+    by bisection over the bar dates (increasing, as ``load_prices``
+    guarantees).
     """
-    closes = None
-    if bars:
-        closes = ([b.date for b in bars], [b.close for b in bars])
+    dates = [b.date for b in bars] if bars else []
 
     def price_at(day):
-        if closes is None:
-            return None
-        dates, values = closes
-        price = None
-        for d, c in zip(dates, values):
-            if d <= day:
-                price = c
-            else:
-                break
-        return price
+        i = bisect.bisect_right(dates, day)
+        return bars[i - 1].close if i else None
 
     rows = []
     q_dates = []

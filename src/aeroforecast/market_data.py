@@ -33,6 +33,10 @@ class PriceBar:
     volume: float
 
     def validate(self) -> None:
+        for name in ("open", "high", "low", "close", "volume"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise MarketDataError(f"{self.date}: non-finite {name} {value}")
         if not (self.low <= self.open <= self.high):
             raise MarketDataError(
                 f"{self.date}: open {self.open} outside [low={self.low}, high={self.high}]"
@@ -83,6 +87,8 @@ class AlignedDataset:
             raise MarketDataError("target length does not match dates")
         if not np.all(np.isfinite(self.features)):
             raise MarketDataError("aligned features contain missing values")
+        if not np.all(np.isfinite(self.target)):
+            raise MarketDataError("aligned target contains non-finite values")
 
     def columns(self, names) -> np.ndarray:
         """Submatrix for the given feature names, in the given order."""

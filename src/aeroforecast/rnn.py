@@ -12,6 +12,13 @@ through time); the per-sample Jacobian is computed by forward sensitivity
 propagation, which yields the same exact values through an independent
 recursion and so cross-checks the reverse-mode gradient.
 
+Per-step numpy calls dominate at paper scale, so each recurrent loop
+keeps to a few.  ``forward_states`` returns the hidden states with the
+predictions, and both derivative routines accept that pair as
+``states`` instead of running the forward pass again.  The gradient's
+weight sums are formed after its backward loop; the Jacobian loop adds
+the direct dependence once per step, in neuron-major column order.
+
 Parameter vector layout (used by the trainers and both derivative
 routines): U row-major, then W row-major, then V, then b_h, then b_y.
 """
@@ -164,12 +171,22 @@ def build_supervised(features, target=None, tau: int = 1) -> SequenceDataset:
     return SequenceDataset(inputs=matrix[:T - tau].copy(), targets=series[tau:].copy())
 
 
-def _forward_states(model: RnnModel, inputs: np.ndarray):
-    """Hidden states (N x h) and predictions (N,) over the sequence."""
+def forward_states(model: RnnModel, dataset: SequenceDataset):
+    """Hidden states ``H`` (N x h) and predictions (N,) over the full
+    sequence, recursing h from h0 = 0.
+
+    The pair is what both derivative routines consume; a caller that
+    already holds it for the same model and dataset passes it as
+    ``states`` instead of paying for another forward pass.
+    """
+    if dataset.inputs.shape[1] != model.n_input:
+        raise ValueError(
+            f"dataset has {dataset.inputs.shape[1]} features, model wants {model.n_input}"
+        )
     f_h = _ACTIVATIONS[model.hidden_activation]
     f_y = _ACTIVATIONS[model.output_activation]
-    N = inputs.shape[0]
-    pre = inputs @ model.U.T + model.b_h  # (N, h)
+    N = dataset.inputs.shape[0]
+    pre = dataset.inputs @ model.U.T + model.b_h  # (N, h)
     H = np.empty((N, model.n_hidden))
     h = np.zeros(model.n_hidden)
     for t in range(N):
@@ -185,12 +202,7 @@ def _forward_states(model: RnnModel, inputs: np.ndarray):
 
 def forward(model: RnnModel, dataset: SequenceDataset) -> np.ndarray:
     """Predictions over the full sequence, recursing h from h0 = 0."""
-    if dataset.inputs.shape[1] != model.n_input:
-        raise ValueError(
-            f"dataset has {dataset.inputs.shape[1]} features, model wants {model.n_input}"
-        )
-    _, preds = _forward_states(model, dataset.inputs)
-    return preds
+    return forward_states(model, dataset)[1]
 
 
 def loss_mse(predictions, targets) -> float:
@@ -205,42 +217,56 @@ def loss_mse(predictions, targets) -> float:
     return float(diff @ diff / diff.size)
 
 
-def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None) -> np.ndarray:
+def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None,
+                 states=None) -> np.ndarray:
     """Exact gradient of sum_{i in subset} (pred_i - target_i)^2.
 
     Reverse-mode backpropagation through time over the whole sequence;
-    errors outside the subset contribute nothing.  Returns a vector in
-    the documented parameter layout.
+    errors outside the subset contribute nothing.  The backward loop
+    carries only da_t = (dy_t V + W' da_{t+1}) * f_h'(a_t) and stores it
+    as row t of DA; the weight gradients dU = sum_t da_t x_t',
+    dW = sum_{t>0} da_t h_{t-1}' and db_h = sum_t da_t are then formed
+    for all t at once.  ``states`` is ``forward_states(model, dataset)``
+    when the caller has it.
+    Returns a vector in the documented parameter layout.
     """
-    H, preds = _forward_states(model, dataset.inputs)
+    H, preds = forward_states(model, dataset) if states is None else states
     N, h = H.shape
     dy = np.zeros(N)
     idx = np.arange(N) if index_subset is None else np.asarray(index_subset)
     dy[idx] = 2.0 * (preds[idx] - dataset.targets[idx])
     dy *= _DERIV_FROM_VALUE[model.output_activation](preds)
 
-    d_hidden = _DERIV_FROM_VALUE[model.hidden_activation]
-    X = dataset.inputs
-    dU = np.zeros_like(model.U)
-    dW = np.zeros_like(model.W)
-    dV = H.T @ dy
-    db_h = np.zeros(h)
-    db_y = float(dy.sum())
-    da_next = np.zeros(h)
+    D = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (N, h)
+    direct = np.outer(dy, model.V)  # dy_t V, the output's pull on h_t
+    DA = np.empty((N, h))
     WT = model.W.T
+    da = np.zeros(h)
     for t in range(N - 1, -1, -1):
-        dh = model.V * dy[t] + WT @ da_next
-        da = dh * d_hidden(H[t])
-        dU += np.outer(da, X[t])
-        if t > 0:
-            dW += np.outer(da, H[t - 1])
-        db_h += da
-        da_next = da
-    return np.concatenate([dU.ravel(), dW.ravel(), dV, db_h, [db_y]])
+        da = np.multiply(direct[t] + WT @ da, D[t], out=DA[t])
+    back = DA[::-1]  # t = N-1, ..., 0: the order the recursion produced them
+    dU = _sum_in_order(back[:, :, None] * dataset.inputs[::-1, None, :])
+    dW = _sum_in_order(back[:-1, :, None] * H[-2::-1, None, :])
+    dV = H.T @ dy
+    return np.concatenate([dU.ravel(), dW.ravel(), dV, _sum_in_order(back),
+                           [dy.sum()]])
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added one after another.
+
+    Gradient sums keep the order of the backward recursion, so they round
+    exactly like a per-step accumulation; ``sum`` or a matrix product
+    would regroup them, and SCG's finite-difference curvature magnifies
+    such last-digit changes into visibly different training runs.
+    """
+    if len(terms) == 0:
+        return np.zeros(terms.shape[1:])
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
-                        index_subset=None) -> np.ndarray:
+                        index_subset=None, states=None) -> np.ndarray:
     """Rows d e_i / d theta = d pred_i / d theta for i in the subset.
 
     Exact forward sensitivity propagation: S_t = D_t (B_t + W S_{t-1})
@@ -248,48 +274,75 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
     pre-activation on U, W, and b_h.  An independent recursion from the
     reverse-mode gradient, so 2 J^T e == gradient_sse serves as a
     consistency check.
+
+    The loop carries G_t = B_t + W S_{t-1}, the sensitivity of the
+    pre-activation, so that S_t = D_t G_t never has to be formed:
+    G_t = B_t + (W D_{t-1}) G_{t-1} and the Jacobian row is
+    (V D_t) G_t.  G covers only U, W and b_h (h_t does not depend on V or
+    b_y), in neuron-major column order: neuron i owns the m = j + h + 1
+    adjacent columns [U_i, W_i, b_h,i], so B_t is block diagonal with the
+    row r_t = [x_t, h_{t-1}, 1] in every block and is added through one
+    strided view per step.  The columns are put back into the parameter
+    layout once, after the loop.  ``states`` is
+    ``forward_states(model, dataset)`` when the caller has it.
     """
-    H, preds = _forward_states(model, dataset.inputs)
-    X = dataset.inputs
+    H, preds = forward_states(model, dataset) if states is None else states
     N, h = H.shape
     j = model.n_input
-    P = model.n_params
-    oW = h * j
-    oV = oW + h * h
-    obh = oV + h
+    m = j + h + 1
+    hm = h * m
+    # Neuron-major sensitivity columns, then V, then b_y.
+    JS = np.empty((N, hm + h + 1))
+    _sensitivity_rows(model, dataset.inputs, H, out=JS[:, :hm])
+    JS[:, hm:hm + h] = H
+    JS[:, -1] = 1.0
 
-    D = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (N, h)
-    d_out = _DERIV_FROM_VALUE[model.output_activation](preds)
-    J = np.empty((N, P))
-    S = np.zeros((h, P))
-    G = np.empty((h, P))
-    # Strided views of the direct-dependence diagonals inside G: entry
-    # [i, i*j + c] for U, [i, oW + i*h + c] for W, [i, obh + i] for b_h.
-    itemsize = G.itemsize
-    diag_u = np.lib.stride_tricks.as_strided(
-        G, shape=(h, j), strides=((P + j) * itemsize, itemsize))
-    diag_w = np.lib.stride_tricks.as_strided(
-        G[:, oW:], shape=(h, h), strides=((P + h) * itemsize, itemsize))
-    diag_b = np.lib.stride_tricks.as_strided(
-        G[:, obh:], shape=(h,), strides=((P + 1) * itemsize,))
-    W = model.W
-    V = model.V
-    h_prev = np.zeros(h)
-    for t in range(N):
-        np.matmul(W, S, out=G)
-        diag_u += X[t]
-        diag_w += h_prev
-        diag_b += 1.0
-        np.multiply(D[t, :, None], G, out=S)
-        np.matmul(V, S, out=J[t])
-        h_prev = H[t]
-    J[:, oV:oV + h] += H
-    J[:, P - 1] += 1.0
+    # JS column of each parameter, in the documented layout.
+    neuron = np.arange(h)[:, None]
+    column = np.concatenate([(neuron * m + np.arange(j)).ravel(),  # U
+                             (neuron * m + j + np.arange(h)).ravel(),  # W
+                             hm + np.arange(h),  # V
+                             np.arange(h) * m + j + h,  # b_h
+                             [hm + h]])  # b_y
+    rows = np.arange(N) if index_subset is None else np.asarray(index_subset)
+    J = JS[np.ix_(rows, column)]
     if model.output_activation != "identity":
-        J *= d_out[:, None]
-    if index_subset is None:
-        return J
-    return J[np.asarray(index_subset)]
+        J *= _DERIV_FROM_VALUE[model.output_activation](preds[rows])[:, None]
+    return J
+
+
+def _sensitivity_rows(model: RnnModel, X: np.ndarray, H: np.ndarray, out: np.ndarray):
+    """Fill row t of ``out`` (N x h*m) with (V D_t) G_t, neuron-major.
+
+    A function of its own so that its (N, h, h) and (N, m) work arrays
+    are freed before the caller allocates J.
+    """
+    N, h = H.shape
+    j = model.n_input
+    m = j + h + 1
+    hm = h * m
+    D = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (N, h)
+    R = np.empty((N, m))  # r_t = [x_t, h_{t-1}, 1]
+    R[:, :j] = X
+    R[0, j:j + h] = 0.0
+    R[1:, j:j + h] = H[:-1]
+    R[:, -1] = 1.0
+    WD = np.empty((N, h, h))  # W D_{t-1}; zero at t = 0, where G_{-1} = 0 anyway
+    WD[0] = 0.0
+    np.multiply(model.W, D[:-1, None, :], out=WD[1:])
+    VD = model.V * D
+    # Two buffers take turns as G_{t-1} and G_t; entry [i, i*m + c] of
+    # each is block i's diagonal entry c.
+    G_prev, G = np.zeros((h, hm)), np.empty((h, hm))
+    blocks_prev, blocks = (np.lib.stride_tricks.as_strided(
+        buf, shape=(h, m), strides=((hm + m) * buf.itemsize, buf.itemsize))
+        for buf in (G_prev, G))
+    for t in range(N):
+        np.dot(WD[t], G_prev, out=G)
+        blocks += R[t]
+        np.dot(VD[t], G, out=out[t])
+        G_prev, G = G, G_prev
+        blocks_prev, blocks = blocks, blocks_prev
 
 
 def rescale_output(model: RnnModel, scale: float, offset: float) -> RnnModel:

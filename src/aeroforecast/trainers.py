@@ -4,7 +4,16 @@ LM, and Moller's scaled conjugate gradient.
 Each trainer has a generic core operating on callables (residuals and
 Jacobian for the least-squares methods, objective and gradient for SCG)
 plus a wrapper that trains an :class:`~aeroforecast.rnn.RnnModel` whose
-errors are summed over a train-index subset of the full sequence.
+errors are summed over a train-index subset of the full sequence.  The
+wrappers take those callables from one :class:`RnnObjective`, which
+caches the forward states at the last parameter vector so that the
+Jacobian and gradient reuse the forward pass the residuals or objective
+already ran at the same point.
+
+A run stops with ``stop_reason`` "converged" (gradient norm below
+``grad_tol``, or a zero SCG search direction), "damping_overflow" (no
+improving step: LM/BR's mu passed ``mu_max``, or SCG's lambda passed
+1e20), "val_patience" or "max_epochs".
 
 Epochs are 1-based; the loop records train and validation MSE at the
 top of every epoch, so an already-optimal start converges at epoch 1.
@@ -20,7 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rnn import RnnModel, SequenceDataset, forward, gradient_sse, loss_mse, prediction_jacobian
+# ``forward`` is unused here but stays importable as ``trainers.forward``,
+# where perfbench's traced mode wraps the forward pass.
+from .rnn import (RnnModel, SequenceDataset, forward, forward_states,  # noqa: F401
+                  gradient_sse, loss_mse, prediction_jacobian)
 
 ALGORITHMS = ("lm", "br", "scg")
 
@@ -62,7 +74,7 @@ class TrainRecord:
     best_epoch: int = 0
     best_theta: np.ndarray | None = None
     seconds: float = 0.0
-    stop_reason: str = "max_epochs"  # converged | max_epochs | val_patience
+    stop_reason: str = "max_epochs"  # converged | damping_overflow | max_epochs | val_patience
     # Objective change of every accepted step (negative by construction;
     # SCG allows zero).  LM/SCG: SSE/MSE change; BR: change of F.
     step_deltas: list = field(default_factory=list)
@@ -146,7 +158,7 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                 break
             mu *= cfg.mu_inc
         if not accepted:
-            rec.stop_reason = "converged"  # damping overflow: no improving step
+            rec.stop_reason = "damping_overflow"  # no improving step
             rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
             break
     rec.seconds = time.perf_counter() - started
@@ -214,7 +226,7 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                 break
             mu *= cfg.mu_inc
         if not accepted:
-            rec.stop_reason = "converged"
+            rec.stop_reason = "damping_overflow"
             rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
             break
     rec.seconds = time.perf_counter() - started
@@ -271,7 +283,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
             rec.stop_reason = "converged"
             break
         if lam > 1e20:
-            rec.stop_reason = "converged"  # step size underflow: no progress possible
+            rec.stop_reason = "damping_overflow"  # step size underflow: no progress possible
             rec.notes.append("lambda overflow; no improving step found")
             break
         if success:
@@ -319,108 +331,90 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# RNN-facing wrappers: errors summed over a train-index subset of the
-# shared full sequence, validation MSE tracked on a disjoint subset.
+# RNN-facing side: errors summed over a train-index subset of the shared
+# full sequence, validation MSE tracked on a disjoint subset.
 # ---------------------------------------------------------------------------
 
 
-class _ForwardCache:
-    """One-slot memo for the full-sequence predictions at a parameter
-    vector; the LM loop evaluates residuals, validation MSE, and the
-    Jacobian at the same point, so this removes redundant forward passes."""
+class RnnObjective:
+    """The callables the trainer cores need, for one model and sequence.
 
-    def __init__(self, model, data):
+    Keeps a one-slot cache of the forward states ``(H, preds)`` at the
+    last parameter vector evaluated, keyed by its bytes.  Residuals,
+    training and validation MSE, the Jacobian and the gradient at that
+    point all reuse it: the LM/BR Jacobian is taken at the point whose
+    residuals were just computed, and SCG's gradient at an accepted
+    point follows the objective evaluation there.
+    """
+
+    def __init__(self, model: RnnModel, data: SequenceDataset, train_idx, val_idx):
+        if len(train_idx) == 0:
+            raise ValueError("empty training set")
         self.model = model
         self.data = data
+        self.train_idx = np.asarray(train_idx, dtype=int)
+        self.val_idx = np.asarray(val_idx if val_idx is not None else [], dtype=int)
         self._key = None
-        self._preds = None
+        self._states = None
 
-    def predictions(self, theta):
+    @property
+    def val_fn(self):
+        """``val_mse``, or None without a validation set."""
+        return self.val_mse if len(self.val_idx) else None
+
+    def states(self, theta):
         key = theta.tobytes()
         if key != self._key:
-            self._preds = forward(self.model.with_params(theta), self.data)
+            self._states = forward_states(self.model.with_params(theta), self.data)
             self._key = key
-        return self._preds
+        return self._states
 
-
-def _rnn_problem(model: RnnModel, data: SequenceDataset, train_idx,
-                 cache: _ForwardCache):
-    train_idx = np.asarray(train_idx, dtype=int)
-    targets = data.targets
-
-    def residual_fn(theta):
+    def residuals(self, theta):
         # Trial points far from the optimum can overflow the forward
         # pass; report an infinite residual so the step gets rejected.
         try:
-            preds = cache.predictions(theta)
+            preds = self.states(theta)[1]
         except FloatingPointError:
-            return np.full(len(train_idx), np.inf)
-        return preds[train_idx] - targets[train_idx]
+            return np.full(len(self.train_idx), np.inf)
+        return preds[self.train_idx] - self.data.targets[self.train_idx]
 
-    def jacobian_fn(theta):
-        return prediction_jacobian(model.with_params(theta), data, train_idx)
+    def train_mse(self, theta):
+        r = self.residuals(theta)
+        return float(r @ r / r.size)
 
-    return residual_fn, jacobian_fn
+    def val_mse(self, theta):
+        preds = self.states(theta)[1]
+        return loss_mse(preds[self.val_idx], self.data.targets[self.val_idx])
 
+    def jacobian(self, theta):
+        return prediction_jacobian(self.model.with_params(theta), self.data,
+                                   self.train_idx, states=self.states(theta))
 
-def _rnn_val_fn(model: RnnModel, data: SequenceDataset, val_idx,
-                cache: _ForwardCache):
-    if val_idx is None or len(val_idx) == 0:
-        return None
-    val_idx = np.asarray(val_idx, dtype=int)
-    targets = data.targets
-
-    def val_fn(theta):
-        preds = cache.predictions(theta)
-        return loss_mse(preds[val_idx], targets[val_idx])
-
-    return val_fn
+    def gradient(self, theta):
+        """Gradient of ``train_mse``."""
+        return gradient_sse(self.model.with_params(theta), self.data, self.train_idx,
+                            states=self.states(theta)) / len(self.train_idx)
 
 
 def train_lm(model, data, train_idx, val_idx, cfg: TrainConfig):
-    if len(train_idx) == 0:
-        raise ValueError("empty training set")
-    cache = _ForwardCache(model, data)
-    residual_fn, jacobian_fn = _rnn_problem(model, data, train_idx, cache)
-    theta, rec = lm_least_squares(residual_fn, jacobian_fn,
-                                  model.params_to_vector(), cfg,
-                                  _rnn_val_fn(model, data, val_idx, cache))
+    obj = RnnObjective(model, data, train_idx, val_idx)
+    theta, rec = lm_least_squares(obj.residuals, obj.jacobian,
+                                  model.params_to_vector(), cfg, obj.val_fn)
     return model.with_params(theta), rec
 
 
 def train_br(model, data, train_idx, val_idx, cfg: TrainConfig):
-    if len(train_idx) == 0:
-        raise ValueError("empty training set")
-    cache = _ForwardCache(model, data)
-    residual_fn, jacobian_fn = _rnn_problem(model, data, train_idx, cache)
-    theta, rec = br_least_squares(residual_fn, jacobian_fn,
-                                  model.params_to_vector(), cfg,
-                                  _rnn_val_fn(model, data, val_idx, cache),
-                                  n_samples=len(train_idx))
+    obj = RnnObjective(model, data, train_idx, val_idx)
+    theta, rec = br_least_squares(obj.residuals, obj.jacobian,
+                                  model.params_to_vector(), cfg, obj.val_fn,
+                                  n_samples=len(obj.train_idx))
     return model.with_params(theta), rec
 
 
 def train_scg(model, data, train_idx, val_idx, cfg: TrainConfig):
-    if len(train_idx) == 0:
-        raise ValueError("empty training set")
-    train_idx = np.asarray(train_idx, dtype=int)
-    n_train = len(train_idx)
-    targets = data.targets
-    cache = _ForwardCache(model, data)
-
-    def objective_fn(theta):
-        try:
-            preds = cache.predictions(theta)
-        except FloatingPointError:
-            return np.inf
-        return loss_mse(preds[train_idx], targets[train_idx])
-
-    def gradient_fn(theta):
-        return gradient_sse(model.with_params(theta), data, train_idx) / n_train
-
-    theta, rec = scg_minimize(objective_fn, gradient_fn,
-                              model.params_to_vector(), cfg,
-                              _rnn_val_fn(model, data, val_idx, cache))
+    obj = RnnObjective(model, data, train_idx, val_idx)
+    theta, rec = scg_minimize(obj.train_mse, obj.gradient,
+                              model.params_to_vector(), cfg, obj.val_fn)
     return model.with_params(theta), rec
 
 

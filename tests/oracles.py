@@ -225,6 +225,45 @@ def rnn_forward_oracle(U, W, V, b_h, b_y, inputs):
     return preds
 
 
+def rnn_bptt_oracle(U, W, V, b_h, b_y, inputs, targets, index_subset=None,
+                    hidden_activation="tanh"):
+    """Gradient of the subset SSE by per-step backpropagation through time.
+
+    The forward recursion is redone here step by step, and every weight
+    gradient is accumulated inside the backward loop with one outer
+    product per step, in the parameter layout U, W, V, b_h, b_y.  The
+    output activation is the identity.
+    """
+    U, W, V, b_h = (np.asarray(a, dtype=float) for a in (U, W, V, b_h))
+    X = np.asarray(inputs, dtype=float)
+    N, n_hidden = X.shape[0], len(V)
+    tanh = hidden_activation == "tanh"
+    H = np.zeros((N, n_hidden))
+    h = np.zeros(n_hidden)
+    for t in range(N):
+        a = U @ X[t] + W @ h + b_h
+        h = np.tanh(a) if tanh else a
+        H[t] = h
+    preds = H @ V + b_y
+    dy = np.zeros(N)
+    idx = range(N) if index_subset is None else index_subset
+    for i in idx:
+        dy[i] = 2.0 * (preds[i] - targets[i])
+    dU = np.zeros_like(U)
+    dW = np.zeros_like(W)
+    db_h = np.zeros(n_hidden)
+    da_next = np.zeros(n_hidden)
+    for t in range(N - 1, -1, -1):
+        dh = V * dy[t] + W.T @ da_next
+        da = dh * (1.0 - H[t] * H[t]) if tanh else dh
+        dU += np.outer(da, X[t])
+        if t > 0:
+            dW += np.outer(da, H[t - 1])
+        db_h += da
+        da_next = da
+    return np.concatenate([dU.ravel(), dW.ravel(), H.T @ dy, db_h, [dy.sum()]])
+
+
 def fd_gradient(f, theta, step=1e-6, richardson=False):
     """Central finite differences of a scalar function.
 

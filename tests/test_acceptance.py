@@ -373,11 +373,13 @@ class TestCriterion7StructuralFidelity:
                        if p.startswith("predictions_")]
         assert len(predictions) == 216
 
-        # explained-variance report carries the Tables 1-2 columns
+        # explained-variance report carries the Tables 1-2 columns; it is
+        # written beside the grid runs, not into run1, which criterion 8
+        # compares file by file with run2
         cfg_dir = out1.parent
         assert main(["pca", "--config", str(cfg_dir / "grid.ini"),
-                     "--out", str(out1 / "pca_out")]) == 0
-        pca_header = open(out1 / "pca_out" / "SYN_A" / "pca_report.csv").readline()
+                     "--out", str(cfg_dir / "pca_out")]) == 0
+        pca_header = open(cfg_dir / "pca_out" / "SYN_A" / "pca_report.csv").readline()
         assert pca_header.strip() == "component,individual,cumulative_pct"
         report("criterion 7: structural fidelity", started,
                "216 cells, 2160 runs, 878/188/188 at n=1254, report layouts")

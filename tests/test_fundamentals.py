@@ -238,6 +238,37 @@ class TestDailyPipeline:
         assert np.isnan(matrix[:4, growth_col]).all()
         assert np.isfinite(matrix[4:, growth_col]).all()
 
+    def test_quarter_end_price_matches_linear_scan(self):
+        bars, reports = generate_synthetic(SyntheticSpec(seed=15, n_days=300))
+        dates = [b.date for b in bars]
+        # Move one quarter end onto a weekend inside the series, so that it
+        # falls between two trading days.
+        i = next(k for k, r in enumerate(reports) if r.quarter_end > dates[100])
+        saturday = next(dates[t] + dt.timedelta(days=1) for t in range(100, 300)
+                        if dates[t].weekday() == 4)
+        assert reports[i - 1].quarter_end < saturday < reports[i + 1].quarter_end
+        reports[i] = Q(saturday, reports[i].values)
+        assert saturday not in dates
+        assert reports[0].quarter_end < dates[0]  # before the first bar
+
+        def scanned_price(day):  # the last close on or before ``day``
+            price = None
+            for bar in bars:
+                if bar.date <= day:
+                    price = bar.close
+            return price
+
+        _, matrix = fund.quarterly_ratio_matrix(reports, bars)
+        pe = fund.RATIO_NAMES.index("pe_ratio")
+        assert scanned_price(reports[0].quarter_end) is None
+        assert np.isnan(matrix[0, pe])
+        for k, report in enumerate(reports):
+            year_ago = reports[k - 4] if k >= 4 else None
+            want = fund.ratios_from_report(
+                report, market_price=scanned_price(report.quarter_end),
+                year_ago=year_ago).as_vector()
+            assert np.array_equal(matrix[k], want, equal_nan=True)
+
     def test_daily_matrix_complete_on_synthetic(self):
         bars, reports = generate_synthetic(SyntheticSpec(seed=14, n_days=300))
         matrix, names = fund.daily_ratio_matrix(reports, bars)

@@ -1,9 +1,11 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
 
-from aeroforecast.market_data import (MarketDataError, PriceBar, SyntheticSpec,
+from aeroforecast.market_data import (AlignedDataset, MarketDataError, PriceBar,
+                                      SyntheticSpec,
                                       clean_and_align, generate_synthetic,
                                       load_prices, write_prices)
 from helpers import make_random_bars
@@ -53,6 +55,23 @@ class TestLoadPrices:
         path = write_csv(tmp_path / "p.csv", self.HEADER +
                          "2020-01-02,10,11,9,oops,1000\n")
         with pytest.raises(MarketDataError, match="close"):
+            load_prices(path)
+
+    def test_inf_close_names_row(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", self.HEADER +
+                         "2020-01-02,10,11,9,10.5,1000\n"
+                         "2020-01-03,10,11,9,inf,1000\n")
+        with pytest.raises(MarketDataError, match="row 2.*non-finite close"):
+            load_prices(path)
+
+    def test_nan_volume_names_row(self, tmp_path):
+        # Accepted, a NaN volume would later delete the day during cleaning
+        # without saying so.
+        path = write_csv(tmp_path / "p.csv", self.HEADER +
+                         "2020-01-02,10,11,9,10.5,1000\n"
+                         "2020-01-03,10,11,9,10.5,1000\n"
+                         "2020-01-06,10,11,9,10.5,nan\n")
+        with pytest.raises(MarketDataError, match="row 3.*non-finite volume"):
             load_prices(path)
 
     def test_bad_header(self, tmp_path):
@@ -205,3 +224,21 @@ class TestPriceBarValidation:
         bar = PriceBar(dt.date(2020, 1, 2), 10.0, 11.0, 9.0, 10.0, -1.0)
         with pytest.raises(MarketDataError, match="volume"):
             bar.validate()
+
+    def test_inf_close_rejected(self):
+        bar = PriceBar(dt.date(2020, 1, 2), 1.0, math.inf, 0.5, math.inf, 1.0)
+        with pytest.raises(MarketDataError, match="non-finite high"):
+            bar.validate()
+
+    def test_nan_volume_rejected(self):
+        bar = PriceBar(dt.date(2020, 1, 2), 10.0, 11.0, 9.0, 10.0, math.nan)
+        with pytest.raises(MarketDataError, match="non-finite volume"):
+            bar.validate()
+
+
+class TestAlignedDataset:
+    def test_non_finite_target_rejected(self):
+        dates = tuple(dt.date(2020, 1, d) for d in (2, 3, 6))
+        with pytest.raises(MarketDataError, match="target"):
+            AlignedDataset(dates=dates, features=np.zeros((3, 1)),
+                           target=np.array([1.0, math.inf, 2.0]), feature_names=("f",))

@@ -6,7 +6,8 @@ import pytest
 import oracles
 from aeroforecast.market_data import AlignedDataset
 from aeroforecast.rnn import (RnnModel, SequenceDataset, build_supervised,
-                              forward, gradient_sse, init_rnn, load_model,
+                              forward, forward_states, gradient_sse, init_rnn,
+                              load_model,
                               loss_mse, prediction_jacobian, rescale_output,
                               save_model)
 from helpers import make_random_bars, technical_aligned
@@ -168,6 +169,53 @@ class TestGradient:
             assert oracles.relative_error(grad, fd).max() <= 1e-5
 
 
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_per_step_outer_product_bptt(self, activation, subset):
+        for seed in range(4):
+            rng = np.random.default_rng(400 + seed)
+            T = int(rng.integers(2, 60))
+            n_in = int(rng.integers(1, 5))
+            n_h = int(rng.integers(1, 8))
+            model = init_rnn(n_in, n_h, 1, seed=seed, hidden_activation=activation)
+            data = random_dataset(500 + seed, T, n_in)
+            idx = np.sort(rng.permutation(T)[:max(1, T // 2)]) if subset else None
+            grad = gradient_sse(model, data, idx)
+            expected = oracles.rnn_bptt_oracle(model.U, model.W, model.V, model.b_h,
+                                               model.b_y, data.inputs, data.targets,
+                                               idx, activation)
+            scale = np.abs(expected).max()
+            assert np.abs(grad - expected).max() <= 1e-12 * scale
+
+    def test_passed_states_give_identical_gradient(self):
+        model = init_rnn(3, 5, 1, seed=44)
+        data = random_dataset(45, 30, 3)
+        subset = np.arange(0, 30, 3)
+        states = forward_states(model, data)
+        for idx in (None, subset):
+            assert np.array_equal(gradient_sse(model, data, idx, states=states),
+                                  gradient_sse(model, data, idx))
+
+
+class TestForwardStates:
+    def test_predictions_equal_forward(self):
+        model = init_rnn(2, 4, 1, seed=46)
+        data = random_dataset(47, 20, 2)
+        H, preds = forward_states(model, data)
+        assert H.shape == (20, 4)
+        assert np.array_equal(preds, forward(model, data))
+        assert np.array_equal(preds, H @ model.V + model.b_y)
+
+    def test_same_checks_as_forward(self):
+        model = init_rnn(2, 3, 1, seed=48)
+        with pytest.raises(ValueError, match="features"):
+            forward_states(model, random_dataset(49, 10, 4))
+        data = random_dataset(50, 10, 2)
+        data.inputs[6, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="6"):
+            forward_states(model, data)
+
+
 class TestJacobian:
     def test_consistency_with_gradient(self):
         for seed in range(5):
@@ -188,6 +236,44 @@ class TestJacobian:
         J = prediction_jacobian(model, data)
         fd = oracles.fd_jacobian(residuals, model.params_to_vector())
         assert oracles.relative_error(J, fd).max() <= 1e-5
+
+    @pytest.mark.parametrize("n_input,n_hidden", [(1, 1), (3, 4), (2, 7)])
+    def test_columns_match_per_column_sensitivity(self, n_input, n_hidden):
+        # Column by column, in the parameter layout: d pred_t / d theta_p by
+        # forward sensitivity of that one parameter, S_t = D_t (W S_{t-1} + B_t).
+        model = init_rnn(n_input, n_hidden, 1, seed=n_hidden)
+        data = random_dataset(n_input, 25, n_input)
+        H, _ = forward_states(model, data)
+        X = data.inputs
+        h, j = n_hidden, n_input
+        expected = np.zeros((25, model.n_params))
+        for p in range(model.n_params):
+            s = np.zeros(h)
+            for t in range(25):
+                direct = np.zeros(h)
+                h_prev = H[t - 1] if t else np.zeros(h)
+                if p < h * j:
+                    direct[p // j] = X[t, p % j]
+                elif p < h * j + h * h:
+                    q = p - h * j
+                    direct[q // h] = h_prev[q % h]
+                elif h * j + h * h + h <= p < model.n_params - 1:
+                    direct[p - (h * j + h * h + h)] = 1.0
+                s = (1.0 - H[t] ** 2) * (model.W @ s + direct)
+                expected[t, p] = model.V @ s
+        V0 = h * j + h * h
+        expected[:, V0:V0 + h] = H
+        expected[:, -1] = 1.0
+        J = prediction_jacobian(model, data)
+        assert np.abs(J - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_passed_states_give_identical_jacobian(self):
+        model = init_rnn(3, 5, 1, seed=51)
+        data = random_dataset(52, 30, 3)
+        states = forward_states(model, data)
+        for idx in (None, np.array([4, 2, 9, 9])):
+            assert np.array_equal(prediction_jacobian(model, data, idx, states=states),
+                                  prediction_jacobian(model, data, idx))
 
     def test_subset_rows(self):
         model = init_rnn(2, 3, 1, seed=42)

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from aeroforecast.rnn import RnnModel, SequenceDataset, forward, init_rnn, loss_mse
-from aeroforecast.trainers import (TrainConfig, _EpochLog, br_least_squares,
-                                   lm_least_squares, scg_minimize, train,
-                                   train_br, train_lm, train_scg)
+from aeroforecast.rnn import (RnnModel, SequenceDataset, forward, forward_states,
+                              gradient_sse, init_rnn, loss_mse, prediction_jacobian)
+from aeroforecast.trainers import (RnnObjective, TrainConfig, _EpochLog,
+                                   br_least_squares, lm_least_squares,
+                                   scg_minimize, train, train_br, train_lm,
+                                   train_scg)
 
 
 def linear_identity_model(seed=0):
@@ -239,6 +241,82 @@ class TestSharedBehavior:
         b = train(model, data, idx, val, TrainConfig(max_epochs=10, learning_rate=0.5))
         assert a[1].train_mse == b[1].train_mse
         assert np.array_equal(a[0].params_to_vector(), b[0].params_to_vector())
+
+
+class TestDampingOverflow:
+    """Cores whose objective can never decrease: every trial is rejected
+    until the damping passes its cap, which is not convergence."""
+
+    @staticmethod
+    def constant_residuals(theta):
+        return np.array([1.0, -2.0, 0.5, 3.0])
+
+    @staticmethod
+    def ones_jacobian(theta):
+        return np.ones((4, 3))  # a nonzero gradient, so no gradient stop
+
+    @pytest.mark.parametrize("core", [lm_least_squares, br_least_squares])
+    def test_lm_and_br_report_damping_overflow(self, core):
+        _, rec = core(self.constant_residuals, self.ones_jacobian, np.ones(3),
+                      TrainConfig(max_epochs=50))
+        assert rec.stop_reason == "damping_overflow"
+        assert rec.total_epochs == 1
+        assert rec.step_deltas == []
+        assert rec.notes == ["mu exceeded mu_max=10000000000.0"]
+
+    def test_scg_reports_damping_overflow(self):
+        # theta = 0 minimizes |theta|^2, so every step along the (wrong)
+        # gradient raises the objective and lambda grows past 1e20.
+        _, rec = scg_minimize(lambda theta: float(theta @ theta),
+                              lambda theta: np.array([1.0, 2.0, -1.0]),
+                              np.zeros(3), TrainConfig(algorithm="scg", max_epochs=1000))
+        assert rec.stop_reason == "damping_overflow"
+        assert rec.total_epochs < 1000
+        assert rec.step_deltas == []
+        assert rec.notes == ["lambda overflow; no improving step found"]
+
+
+class TestRnnObjective:
+    def test_cache_refreshes_on_new_theta(self):
+        model = init_rnn(2, 3, 1, seed=29)
+        data = noisy_dataset(30, T=30)
+        obj = RnnObjective(model, data, np.arange(20), np.arange(20, 30))
+        theta = model.params_to_vector()
+        first = obj.states(theta)
+        assert obj.states(theta.copy()) is first  # same bytes: cache hit
+        moved = theta + 0.1
+        H, preds = obj.states(moved)
+        assert H is not first[0]
+        want_H, want_preds = forward_states(model.with_params(moved), data)
+        assert np.array_equal(H, want_H) and np.array_equal(preds, want_preds)
+        assert np.array_equal(obj.residuals(moved), want_preds[:20] - data.targets[:20])
+        assert obj.val_mse(moved) == loss_mse(want_preds[20:], data.targets[20:])
+        # back at the first point, everything matches a fresh evaluation
+        assert np.array_equal(obj.jacobian(theta),
+                              prediction_jacobian(model, data, np.arange(20)))
+        assert np.array_equal(obj.gradient(theta),
+                              gradient_sse(model, data, np.arange(20)) / 20)
+        assert obj.train_mse(theta) == loss_mse(forward(model, data)[:20],
+                                                data.targets[:20])
+
+    def test_overflowing_trial_point_gives_infinite_residual(self):
+        # identity hidden units: W scaled by 1e100 overflows within a few steps
+        model = init_rnn(2, 3, 1, seed=31, hidden_activation="identity")
+        data = noisy_dataset(32, T=30)
+        obj = RnnObjective(model, data, np.arange(20), [])
+        theta = model.params_to_vector()
+        big = theta.copy()
+        big[6:15] *= 1e100  # W follows the 3 x 2 U in the layout
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                forward(model.with_params(big), data)
+            r = obj.residuals(big)
+            assert r.shape == (20,) and np.isinf(r).all()
+            assert obj.train_mse(big) == math.inf
+        assert obj.val_fn is None
+        # a finite point after the failure is evaluated afresh
+        assert np.array_equal(obj.residuals(theta),
+                              forward(model, data)[:20] - data.targets[:20])
 
 
 class TestEpochLog:
