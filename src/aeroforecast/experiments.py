@@ -56,7 +56,7 @@ class ExperimentSpec:
     feature_set: str
     algorithm: str
     n_hidden: int
-    delay: int
+    delay: int  # tau in aligned samples, not trading days (rnn.build_supervised)
     pca_k: int | None = 3  # None disables PCA
     repeats: int = GRID_REPEATS
     base_seed: int = 0

@@ -150,11 +150,15 @@ class SequenceDataset:
 
 
 def build_supervised(features, target=None, tau: int = 1) -> SequenceDataset:
-    """Pair feature row t with the target tau steps later.
+    """Pair feature row t with the target tau rows later.
 
     ``features`` may be an :class:`AlignedDataset` (its close-price
     target is used) or a plain matrix with an explicit ``target``
     series.  A series of length T yields exactly T - tau pairs.
+
+    tau counts aligned samples, not trading days, as in the paper: where
+    cleaning deleted a mid-series day, a label lies tau + 1 trading days
+    ahead of its features (tau + k across k deleted days).
     """
     if isinstance(features, AlignedDataset):
         matrix, series = features.features, features.target

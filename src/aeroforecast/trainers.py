@@ -1,6 +1,10 @@
 """Second-order batch trainers: Levenberg-Marquardt, Bayesian-regularized
 LM, and Moller's scaled conjugate gradient.
 
+LM and BR share one damped Gauss-Newton core that minimizes
+F = beta*SSE + alpha*|theta|^2: LM holds (alpha, beta) at (0, 1), and
+BR re-estimates them from the evidence after every accepted step.
+
 Each trainer has a generic core operating on callables (residuals and
 Jacobian for the least-squares methods, objective and gradient for SCG)
 plus a wrapper that trains an :class:`~aeroforecast.rnn.RnnModel` whose
@@ -64,6 +68,10 @@ class TrainConfig:
                      "scg_sigma", "scg_lambda0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.mu_inc <= 1:  # mu must grow, or a rejected step retries forever
+            raise ValueError("mu_inc must be > 1")
+        if self.val_patience < 1:
+            raise ValueError("val_patience must be >= 1")
 
 
 @dataclass
@@ -115,49 +123,77 @@ class _EpochLog:
 
 def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                      val_fn=None) -> tuple[np.ndarray, TrainRecord]:
-    """Levenberg-Marquardt on 0.5-free SSE: solve (J'J + mu I) d = -J'e.
+    """Levenberg-Marquardt on 0.5-free SSE: solve (J'J + mu I) d = -J'e,
+    the damped Gauss-Newton core with (alpha, beta) held at (0, 1)."""
+    return _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
+                                bayesian=False)
 
-    A step is accepted only if it strictly decreases the SSE (mu shrinks);
+
+def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
+                     val_fn=None, n_samples=None) -> tuple[np.ndarray, TrainRecord]:
+    """Bayesian-regularized LM: the damped Gauss-Newton core from
+    (alpha, beta) = (0, 1), re-estimated by :func:`_evidence_update` after
+    every accepted step with N = ``n_samples`` (default: the residual
+    count).  Validation stops training only with ``cfg.br_val_stop``."""
+    return _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
+                                bayesian=True, n_samples=n_samples)
+
+
+def _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
+                         bayesian, n_samples=None):
+    """Minimize F = beta*SSE + alpha*|theta|^2 with damped Gauss-Newton
+    steps: solve (beta J'J + (alpha + mu) I) d = -(beta J'e + alpha theta).
+
+    A step is accepted only if it strictly decreases F (mu shrinks);
     otherwise mu grows and the step is retried within the same epoch.
-    """
+    With ``bayesian``, (alpha, beta) are re-estimated at the top of the
+    epoch after each accepted step, before that epoch is logged."""
     theta = np.array(theta0, dtype=float)
+    alpha, beta = 0.0, 1.0
     mu = cfg.mu0
-    log = _EpochLog(val_fn, cfg.val_patience)
+    log = _EpochLog(val_fn, cfg.val_patience if cfg.br_val_stop or not bayesian else None)
     rec = log.record
+    eye = np.eye(theta.size)
+    reestimate = False
     started = time.perf_counter()
     while rec.total_epochs < cfg.max_epochs:
         r = residual_fn(theta)
         if not np.all(np.isfinite(r)):
-            raise FloatingPointError("non-finite residuals during LM training")
+            raise FloatingPointError(
+                f"non-finite residuals during {'BR' if bayesian else 'LM'} training")
         sse = float(r @ r)
+        J = jacobian_fn(theta)
+        A = J.T @ J
+        if reestimate:
+            n = n_samples if n_samples is not None else len(r)
+            alpha, beta = _evidence_update(A, eye, theta, sse, n, alpha, beta, mu, rec)
+            reestimate = False
         if log.log(sse / len(r), theta):
             rec.stop_reason = "val_patience"
             break
-        J = jacobian_fn(theta)
-        g = 2.0 * (J.T @ r)
-        if np.linalg.norm(g) < cfg.grad_tol:
+        g = beta * (J.T @ r) + alpha * theta  # half the gradient of F
+        if np.linalg.norm(2.0 * g) < cfg.grad_tol:
             rec.stop_reason = "converged"
             break
-        A = J.T @ J
-        eye = np.eye(A.shape[0])
-        accepted = False
+        A *= beta  # in place: a scaled copy would add a P x P array
+        f_cur = beta * sse + alpha * float(theta @ theta)
         while mu <= cfg.mu_max:
             try:
-                delta = np.linalg.solve(A + mu * eye, -(J.T @ r))
+                delta = np.linalg.solve(A + (alpha + mu) * eye, -g)
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
             trial = theta + delta
             r_trial = residual_fn(trial)
-            sse_trial = float(r_trial @ r_trial)
-            if np.isfinite(sse_trial) and sse_trial < sse:
+            f_trial = beta * float(r_trial @ r_trial) + alpha * float(trial @ trial)
+            if np.isfinite(f_trial) and f_trial < f_cur:
                 theta = trial
                 mu = max(mu * cfg.mu_dec, 1e-300)
-                rec.step_deltas.append(sse_trial - sse)
-                accepted = True
+                rec.step_deltas.append(f_trial - f_cur)
+                reestimate = bayesian
                 break
             mu *= cfg.mu_inc
-        if not accepted:
+        else:
             rec.stop_reason = "damping_overflow"  # no improving step
             rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
             break
@@ -165,76 +201,12 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     return rec.best_theta.copy(), rec
 
 
-def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
-                     val_fn=None, n_samples=None) -> tuple[np.ndarray, TrainRecord]:
-    """Bayesian-regularized LM: minimize F = beta*SSE + alpha*|theta|^2.
-
-    Starts from (alpha, beta) = (0, 1); after every accepted step the
-    evidence hyperparameters are re-estimated from the effective number
-    of parameters gamma = P - 2 alpha tr(H^-1), H = 2 beta J'J + 2 alpha I,
-    then alpha = gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE),
-    both floored at 1e-12 and gamma clamped into [0, P].
-    """
-    theta = np.array(theta0, dtype=float)
+def _evidence_update(A, eye, theta, sse, n, alpha, beta, mu, rec):
+    """MacKay's re-estimation: gamma = P - 2 alpha tr(H^-1), H = 2 beta J'J
+    + 2 alpha I, clamped into [0, P] and appended to ``rec.gammas``; returns
+    alpha = gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE), both
+    floored at 1e-12.  An ill-conditioned H gets LM damping."""
     n_params = theta.size
-    alpha, beta = 0.0, 1.0
-    mu = cfg.mu0
-    patience = cfg.val_patience if cfg.br_val_stop else None
-    log = _EpochLog(val_fn, patience)
-    rec = log.record
-    reestimate = False
-    started = time.perf_counter()
-    while rec.total_epochs < cfg.max_epochs:
-        r = residual_fn(theta)
-        if not np.all(np.isfinite(r)):
-            raise FloatingPointError("non-finite residuals during BR training")
-        J = jacobian_fn(theta)
-        sse = float(r @ r)
-        n = n_samples if n_samples is not None else len(r)
-        A = J.T @ J
-        eye = np.eye(n_params)
-        if reestimate:
-            alpha, beta, gamma = _evidence_update(
-                A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
-            reestimate = False
-        if log.log(sse / len(r), theta):
-            rec.stop_reason = "val_patience"
-            break
-        grad = 2.0 * (beta * (J.T @ r) + alpha * theta)
-        if np.linalg.norm(grad) < cfg.grad_tol:
-            rec.stop_reason = "converged"
-            break
-        f_cur = beta * sse + alpha * float(theta @ theta)
-        accepted = False
-        while mu <= cfg.mu_max:
-            try:
-                delta = np.linalg.solve(beta * A + (alpha + mu) * eye,
-                                        -(beta * (J.T @ r) + alpha * theta))
-            except np.linalg.LinAlgError:
-                mu *= cfg.mu_inc
-                continue
-            trial = theta + delta
-            r_trial = residual_fn(trial)
-            sse_trial = float(r_trial @ r_trial)
-            f_trial = beta * sse_trial + alpha * float(trial @ trial)
-            if np.isfinite(f_trial) and f_trial < f_cur:
-                theta = trial
-                mu = max(mu * cfg.mu_dec, 1e-300)
-                rec.step_deltas.append(f_trial - f_cur)
-                accepted = True
-                reestimate = True
-                break
-            mu *= cfg.mu_inc
-        if not accepted:
-            rec.stop_reason = "damping_overflow"
-            rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
-            break
-    rec.seconds = time.perf_counter() - started
-    return rec.best_theta.copy(), rec
-
-
-def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
-    """One MacKay evidence re-estimation; ill-conditioned H gets LM damping."""
     H = 2.0 * beta * A + 2.0 * alpha * eye
     try:
         trace_inv = float(np.trace(np.linalg.inv(H)))
@@ -249,7 +221,7 @@ def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
     weight_norm = float(theta @ theta)
     alpha = max(gamma / (2.0 * max(weight_norm, 1e-300)), 1e-12)
     beta = max((n - gamma) / (2.0 * max(sse, 1e-300)), 1e-12)
-    return alpha, beta, gamma
+    return alpha, beta
 
 
 def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,

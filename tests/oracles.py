@@ -10,8 +10,11 @@ missing-value convention.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
+
+from aeroforecast.trainers import TrainConfig, _EpochLog
 
 NAN = float("nan")
 
@@ -365,3 +368,150 @@ def jacobi_eigh(matrix, sweeps=100):
     eigvals = np.diag(A).copy()
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], V[:, order]
+
+
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt and Bayesian-regularized LM as two separate loops,
+# kept as the reference for the shared damped Gauss-Newton core in
+# ``aeroforecast.trainers``: same inputs, same records, same weights.
+# They share only the per-epoch bookkeeping (``_EpochLog``) with it.
+# ---------------------------------------------------------------------------
+
+
+def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
+                     val_fn=None) -> tuple[np.ndarray, TrainRecord]:
+    """Levenberg-Marquardt on 0.5-free SSE: solve (J'J + mu I) d = -J'e.
+
+    A step is accepted only if it strictly decreases the SSE (mu shrinks);
+    otherwise mu grows and the step is retried within the same epoch.
+    """
+    theta = np.array(theta0, dtype=float)
+    mu = cfg.mu0
+    log = _EpochLog(val_fn, cfg.val_patience)
+    rec = log.record
+    started = time.perf_counter()
+    while rec.total_epochs < cfg.max_epochs:
+        r = residual_fn(theta)
+        if not np.all(np.isfinite(r)):
+            raise FloatingPointError("non-finite residuals during LM training")
+        sse = float(r @ r)
+        if log.log(sse / len(r), theta):
+            rec.stop_reason = "val_patience"
+            break
+        J = jacobian_fn(theta)
+        g = 2.0 * (J.T @ r)
+        if np.linalg.norm(g) < cfg.grad_tol:
+            rec.stop_reason = "converged"
+            break
+        A = J.T @ J
+        eye = np.eye(A.shape[0])
+        accepted = False
+        while mu <= cfg.mu_max:
+            try:
+                delta = np.linalg.solve(A + mu * eye, -(J.T @ r))
+            except np.linalg.LinAlgError:
+                mu *= cfg.mu_inc
+                continue
+            trial = theta + delta
+            r_trial = residual_fn(trial)
+            sse_trial = float(r_trial @ r_trial)
+            if np.isfinite(sse_trial) and sse_trial < sse:
+                theta = trial
+                mu = max(mu * cfg.mu_dec, 1e-300)
+                rec.step_deltas.append(sse_trial - sse)
+                accepted = True
+                break
+            mu *= cfg.mu_inc
+        if not accepted:
+            rec.stop_reason = "damping_overflow"  # no improving step
+            rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
+            break
+    rec.seconds = time.perf_counter() - started
+    return rec.best_theta.copy(), rec
+
+
+def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
+                     val_fn=None, n_samples=None) -> tuple[np.ndarray, TrainRecord]:
+    """Bayesian-regularized LM: minimize F = beta*SSE + alpha*|theta|^2.
+
+    Starts from (alpha, beta) = (0, 1); after every accepted step the
+    evidence hyperparameters are re-estimated from the effective number
+    of parameters gamma = P - 2 alpha tr(H^-1), H = 2 beta J'J + 2 alpha I,
+    then alpha = gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE),
+    both floored at 1e-12 and gamma clamped into [0, P].
+    """
+    theta = np.array(theta0, dtype=float)
+    n_params = theta.size
+    alpha, beta = 0.0, 1.0
+    mu = cfg.mu0
+    patience = cfg.val_patience if cfg.br_val_stop else None
+    log = _EpochLog(val_fn, patience)
+    rec = log.record
+    reestimate = False
+    started = time.perf_counter()
+    while rec.total_epochs < cfg.max_epochs:
+        r = residual_fn(theta)
+        if not np.all(np.isfinite(r)):
+            raise FloatingPointError("non-finite residuals during BR training")
+        J = jacobian_fn(theta)
+        sse = float(r @ r)
+        n = n_samples if n_samples is not None else len(r)
+        A = J.T @ J
+        eye = np.eye(n_params)
+        if reestimate:
+            alpha, beta, gamma = _evidence_update(
+                A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
+            reestimate = False
+        if log.log(sse / len(r), theta):
+            rec.stop_reason = "val_patience"
+            break
+        grad = 2.0 * (beta * (J.T @ r) + alpha * theta)
+        if np.linalg.norm(grad) < cfg.grad_tol:
+            rec.stop_reason = "converged"
+            break
+        f_cur = beta * sse + alpha * float(theta @ theta)
+        accepted = False
+        while mu <= cfg.mu_max:
+            try:
+                delta = np.linalg.solve(beta * A + (alpha + mu) * eye,
+                                        -(beta * (J.T @ r) + alpha * theta))
+            except np.linalg.LinAlgError:
+                mu *= cfg.mu_inc
+                continue
+            trial = theta + delta
+            r_trial = residual_fn(trial)
+            sse_trial = float(r_trial @ r_trial)
+            f_trial = beta * sse_trial + alpha * float(trial @ trial)
+            if np.isfinite(f_trial) and f_trial < f_cur:
+                theta = trial
+                mu = max(mu * cfg.mu_dec, 1e-300)
+                rec.step_deltas.append(f_trial - f_cur)
+                accepted = True
+                reestimate = True
+                break
+            mu *= cfg.mu_inc
+        if not accepted:
+            rec.stop_reason = "damping_overflow"
+            rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
+            break
+    rec.seconds = time.perf_counter() - started
+    return rec.best_theta.copy(), rec
+
+
+def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
+    """One MacKay evidence re-estimation; ill-conditioned H gets LM damping."""
+    H = 2.0 * beta * A + 2.0 * alpha * eye
+    try:
+        trace_inv = float(np.trace(np.linalg.inv(H)))
+    except np.linalg.LinAlgError:
+        trace_inv = float(np.trace(np.linalg.inv(H + mu * eye)))
+        rec.notes.append("damped ill-conditioned Hessian in evidence update")
+    gamma = n_params - 2.0 * alpha * trace_inv
+    if gamma < 0.0 or gamma > n_params:
+        rec.notes.append(f"gamma {gamma:.6g} clamped into [0, {n_params}]")
+        gamma = min(max(gamma, 0.0), float(n_params))
+    rec.gammas.append(gamma)
+    weight_norm = float(theta @ theta)
+    alpha = max(gamma / (2.0 * max(weight_norm, 1e-300)), 1e-12)
+    beta = max((n - gamma) / (2.0 * max(sse, 1e-300)), 1e-12)
+    return alpha, beta, gamma

@@ -191,6 +191,12 @@ class TestConfigAndFlags:
         assert main(["features", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_growing_damping_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[train]\nmu_inc = 1\n\n[company:ACME]\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "mu_inc" in capsys.readouterr().err
+
     def test_bad_input_file_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "p.csv"
         bad.write_text("date,open,high,low,close,volume\n2020-01-02,10,8,9,9.5,1\n")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from aeroforecast.market_data import AlignedDataset
+from aeroforecast import indicators as ind
+from aeroforecast.market_data import AlignedDataset, PriceBar, clean_and_align
 from aeroforecast.rnn import (RnnModel, SequenceDataset, build_supervised,
                               forward, forward_states, gradient_sse, init_rnn,
                               load_model,
@@ -50,6 +51,28 @@ class TestBuildSupervised:
         data = build_supervised(aligned, tau=5)
         assert len(data) == len(aligned.dates) - 5
         assert data.targets[0] == aligned.target[5]
+
+    def test_tau_counts_aligned_rows_across_a_deleted_day(self):
+        # A zero-range bar leaves 1-day %K and WR undefined, so cleaning
+        # deletes that day; the pairs straddling it lie tau + 1 days apart.
+        bars = make_random_bars(4, n=80)
+        gap, tau = 60, 3
+        c = bars[gap - 1].close
+        bars[gap] = PriceBar(bars[gap].date, c, c, c, c, bars[gap].volume)
+        cfg = ind.IndicatorConfig(stoch_window=1, stoch_d=1, wr_window=1)
+        aligned = clean_and_align(bars, ind.compute_technical_matrix(bars, cfg),
+                                  ind.TECHNICAL_COLUMNS, np.empty((80, 0)), ())
+        kept = [i for i, b in enumerate(bars) if b.date in aligned.dates]
+        assert gap not in kept
+        assert kept == [i for i in range(kept[0], 80) if i != gap]
+        data = build_supervised(aligned, tau=tau)
+        assert len(data) == len(kept) - tau
+        assert np.array_equal(data.inputs, aligned.features[:-tau])
+        for i in range(len(data)):
+            assert data.targets[i] == bars[kept[i + tau]].close
+        spans = {kept[i]: kept[i + tau] - kept[i] for i in range(len(data))}
+        assert {d for d, span in spans.items() if span != tau} == {gap - 3, gap - 2, gap - 1}
+        assert all(spans[d] == tau + 1 for d in (gap - 3, gap - 2, gap - 1))
 
 
 class TestForward:

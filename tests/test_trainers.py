@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from aeroforecast.rnn import (RnnModel, SequenceDataset, forward, forward_states,
                               gradient_sse, init_rnn, loss_mse, prediction_jacobian)
-from aeroforecast.trainers import (RnnObjective, TrainConfig, _EpochLog,
-                                   br_least_squares, lm_least_squares,
-                                   scg_minimize, train, train_br, train_lm,
-                                   train_scg)
+from aeroforecast.trainers import (RnnObjective, TrainConfig, TrainRecord,
+                                   _EpochLog, br_least_squares,
+                                   lm_least_squares, scg_minimize, train,
+                                   train_br, train_lm, train_scg)
 
 
 def linear_identity_model(seed=0):
@@ -233,6 +234,21 @@ class TestSharedBehavior:
         with pytest.raises(ValueError, match="grad_tol"):
             TrainConfig(grad_tol=0.0)
 
+    def test_damping_growth_and_patience_validated(self):
+        # mu_inc <= 1 never lets mu pass mu_max, so rejection loops forever
+        for bad in (1.0, 0.5):
+            with pytest.raises(ValueError, match="mu_inc"):
+                TrainConfig(mu_inc=bad)
+        with pytest.raises(ValueError, match="val_patience"):
+            TrainConfig(val_patience=0)
+
+    @pytest.mark.parametrize("core, name", [(lm_least_squares, "LM"),
+                                            (br_least_squares, "BR")])
+    def test_non_finite_residuals_name_the_algorithm(self, core, name):
+        with pytest.raises(FloatingPointError, match=f"during {name} training"):
+            core(lambda theta: np.array([1.0, math.nan, 2.0]),
+                 lambda theta: np.ones((3, 2)), np.zeros(2), TrainConfig())
+
     def test_learning_rate_recorded_but_inert(self):
         model = init_rnn(2, 3, 1, seed=27)
         data = noisy_dataset(28)
@@ -334,3 +350,62 @@ class TestEpochLog:
         theta = np.zeros(1)
         assert not any(log.log(v, theta) for v in [1.0, 2.0, 3.0, 4.0])
         assert log.record.best_epoch == 1  # lowest train MSE
+
+
+def assert_same_run(got, want):
+    """Equal weights and every TrainRecord field but the wall time, bit for bit."""
+    (theta, rec), (want_theta, want_rec) = got, want
+    assert theta.tobytes() == want_theta.tobytes()
+    for f in dataclasses.fields(TrainRecord):
+        if f.name != "seconds":
+            a, b = getattr(rec, f.name), getattr(want_rec, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert repr(a) == repr(b), f.name  # repr: NaN equals NaN
+
+
+LEAST_SQUARES_VARIANTS = {
+    "lm": (lm_least_squares, oracles.lm_least_squares, {}),
+    "br": (br_least_squares, oracles.br_least_squares, {}),
+    "br_val_stop": (br_least_squares, oracles.br_least_squares,
+                    {"br_val_stop": True, "val_patience": 2}),
+}
+
+
+class TestSharedLeastSquaresCore:
+    """LM and BR run through one damped Gauss-Newton core; the separate
+    loops it replaced (``oracles``) give the same records and weights."""
+
+    @pytest.mark.parametrize("variant", sorted(LEAST_SQUARES_VARIANTS))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_separate_loops_on_rnn_problems(self, seed, variant):
+        rng = np.random.default_rng(1000 + seed)
+        n_input, n_hidden = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        T = int(rng.integers(30, 70))
+        activation = "identity" if seed % 7 == 3 else "tanh"
+        model = init_rnn(n_input, n_hidden, 1, seed=seed, hidden_activation=activation)
+        data = noisy_dataset(2000 + seed, T=T, n_input=n_input)
+        order = rng.permutation(T)
+        n_train = int(0.7 * T)
+        train_idx = order[:n_train]
+        val_idx = order[n_train:] if seed % 5 else []  # some runs without validation
+        core, reference, overrides = LEAST_SQUARES_VARIANTS[variant]
+        cfg = TrainConfig(max_epochs=30, **overrides)
+        if seed % 2:
+            cfg = dataclasses.replace(cfg, mu0=1.0, mu_inc=4.0, mu_dec=0.3, grad_tol=1e-4)
+        extra = {} if variant == "lm" else {"n_samples": n_train}
+        runs = []
+        for fn in (core, reference):
+            obj = RnnObjective(model, data, train_idx, val_idx)
+            runs.append(fn(obj.residuals, obj.jacobian, model.params_to_vector(), cfg,
+                           obj.val_fn, **extra))
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("variant", sorted(LEAST_SQUARES_VARIANTS))
+    def test_matches_separate_loops_on_damping_overflow(self, variant):
+        core, reference, overrides = LEAST_SQUARES_VARIANTS[variant]
+        cfg = TrainConfig(max_epochs=50, **overrides)
+        runs = [fn(TestDampingOverflow.constant_residuals, TestDampingOverflow.ones_jacobian,
+                   np.ones(3), cfg) for fn in (core, reference)]
+        assert_same_run(*runs)
