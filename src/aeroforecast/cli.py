@@ -21,7 +21,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -34,7 +33,8 @@ from .experiments import (CompanyBundle, ExperimentSpec, cell_name,
                           run_grid, run_repeat, write_grid_results,
                           write_marginals, write_predictions)
 from .market_data import (MarketDataError, SyntheticSpec, clean_and_align,
-                          generate_synthetic, load_prices, write_prices)
+                          generate_synthetic, load_prices, write_csv,
+                          write_prices)
 from .pca import fit_pca, transform, write_pca_report, write_pca_scatter
 from .rnn import save_model
 from .seeding import derive_seed
@@ -72,21 +72,13 @@ class RunConfig:
     split_mode: str = "random"
 
 
-def _section(parser, name):
-    return parser[name] if parser.has_section(name) else {}
-
-
-def _get(section, key, cast, default):
-    if key not in section:
-        return default
-    raw = str(section[key]).strip()
-    if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return cast(raw)
-
-
 def load_config(path: str | None) -> RunConfig:
-    """Parse the INI config; omitted keys keep their defaults."""
+    """Parse the INI config; omitted keys keep their defaults.
+
+    The accepted sections and keys are exactly those this function reads:
+    anything else, and a boolean key whose value is not true/false,
+    yes/no, on/off or 1/0, raises ``ValueError`` naming section and key.
+    """
     rc = RunConfig()
     if path is None:
         return rc
@@ -94,74 +86,87 @@ def load_config(path: str | None) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise MarketDataError(f"config file not found: {path}")
+    accepted = {}  # section -> keys read below
 
-    run = _section(parser, "run")
-    if "seed" in run:
-        rc.seed = int(run["seed"])
-        rc.seed_from_config = True
-    rc.out = _get(run, "out", str, rc.out)
-    rc.jobs = _get(run, "jobs", int, rc.jobs)
+    def get(section, key, cast, default):
+        accepted.setdefault(section, set()).add(key)
+        if not parser.has_option(section, key):
+            return default
+        raw = parser[section][key].strip()
+        if cast is bool:
+            if raw.lower() not in parser.BOOLEAN_STATES:
+                raise ValueError(f"config [{section}] {key}: {raw!r} is not a boolean "
+                                 "(use true/false, yes/no, on/off or 1/0)")
+            return parser.BOOLEAN_STATES[raw.lower()]
+        return cast(raw)
 
-    syn = _section(parser, "synthetic")
+    seed = get("run", "seed", int, None)
+    if seed is not None:
+        rc.seed, rc.seed_from_config = seed, True
+    rc.out = get("run", "out", str, rc.out)
+    rc.jobs = get("run", "jobs", int, rc.jobs)
+
     rc.synthetic = SyntheticSpec(
         seed=rc.seed,
-        n_days=_get(syn, "n_days", int, rc.synthetic.n_days),
-        drift=_get(syn, "drift", float, rc.synthetic.drift),
-        volatility=_get(syn, "volatility", float, rc.synthetic.volatility),
-        quarterly_pattern=_get(syn, "quarterly_pattern", str,
-                               rc.synthetic.quarterly_pattern),
+        n_days=get("synthetic", "n_days", int, rc.synthetic.n_days),
+        drift=get("synthetic", "drift", float, rc.synthetic.drift),
+        volatility=get("synthetic", "volatility", float, rc.synthetic.volatility),
+        quarterly_pattern=get("synthetic", "quarterly_pattern", str,
+                              rc.synthetic.quarterly_pattern),
     )
 
-    sec = _section(parser, "indicators")
     kwargs = {}
     for f in dataclasses.fields(ind.IndicatorConfig):
-        if f.name in sec:
-            cast = str if f.name == "cci_mode" else (
-                float if f.type == "float" else int)
-            kwargs[f.name] = _get(sec, f.name, cast, None)
+        cast = str if f.name == "cci_mode" else (
+            float if f.type == "float" else int)
+        value = get("indicators", f.name, cast, None)
+        if value is not None:
+            kwargs[f.name] = value
     rc.indicators = ind.IndicatorConfig(**kwargs)
 
-    sec = _section(parser, "pca")
-    k_raw = str(sec.get("k", "" if rc.pca_k is None else str(rc.pca_k))).strip().lower()
+    k_raw = get("pca", "k", str, str(rc.pca_k)).lower()
     rc.pca_k = None if k_raw in ("", "none", "0") else int(k_raw)
-    rc.pca_scale_mode = _get(sec, "scale_mode", str, rc.pca_scale_mode)
-    rc.pca_scope = _get(sec, "scope", str, rc.pca_scope)
+    rc.pca_scale_mode = get("pca", "scale_mode", str, rc.pca_scale_mode)
+    rc.pca_scope = get("pca", "scope", str, rc.pca_scope)
 
-    sec = _section(parser, "train")
     rc.train = TrainConfig(
-        algorithm=_get(sec, "algorithm", str, rc.train.algorithm).lower(),
-        max_epochs=_get(sec, "max_epochs", int, rc.train.max_epochs),
-        grad_tol=_get(sec, "grad_tol", float, rc.train.grad_tol),
-        mu0=_get(sec, "mu0", float, rc.train.mu0),
-        mu_inc=_get(sec, "mu_inc", float, rc.train.mu_inc),
-        mu_dec=_get(sec, "mu_dec", float, rc.train.mu_dec),
-        mu_max=_get(sec, "mu_max", float, rc.train.mu_max),
-        scg_sigma=_get(sec, "scg_sigma", float, rc.train.scg_sigma),
-        scg_lambda0=_get(sec, "scg_lambda0", float, rc.train.scg_lambda0),
-        val_patience=_get(sec, "val_patience", int, rc.train.val_patience),
-        br_val_stop=_get(sec, "br_val_stop", bool, rc.train.br_val_stop),
-        learning_rate=_get(sec, "learning_rate", float, rc.train.learning_rate),
+        algorithm=get("train", "algorithm", str, rc.train.algorithm).lower(),
+        max_epochs=get("train", "max_epochs", int, rc.train.max_epochs),
+        grad_tol=get("train", "grad_tol", float, rc.train.grad_tol),
+        mu0=get("train", "mu0", float, rc.train.mu0),
+        mu_inc=get("train", "mu_inc", float, rc.train.mu_inc),
+        mu_dec=get("train", "mu_dec", float, rc.train.mu_dec),
+        mu_max=get("train", "mu_max", float, rc.train.mu_max),
+        scg_sigma=get("train", "scg_sigma", float, rc.train.scg_sigma),
+        scg_lambda0=get("train", "scg_lambda0", float, rc.train.scg_lambda0),
+        val_patience=get("train", "val_patience", int, rc.train.val_patience),
+        br_val_stop=get("train", "br_val_stop", bool, rc.train.br_val_stop),
+        learning_rate=get("train", "learning_rate", float, rc.train.learning_rate),
     )
-    rc.feature_set = _get(sec, "feature_set", str, rc.feature_set)
-    rc.neurons = _get(sec, "neurons", int, rc.neurons)
-    rc.delay = _get(sec, "delay", int, rc.delay)
+    rc.feature_set = get("train", "feature_set", str, rc.feature_set)
+    rc.neurons = get("train", "neurons", int, rc.neurons)
+    rc.delay = get("train", "delay", int, rc.delay)
 
-    sec = _section(parser, "experiment")
-    rc.repeats = _get(sec, "repeats", int, rc.repeats)
-    rc.standardize_inputs = _get(sec, "standardize_inputs", bool, rc.standardize_inputs)
-    rc.split_mode = _get(sec, "split_mode", str, rc.split_mode)
+    rc.repeats = get("experiment", "repeats", int, rc.repeats)
+    rc.standardize_inputs = get("experiment", "standardize_inputs", bool,
+                                rc.standardize_inputs)
+    rc.split_mode = get("experiment", "split_mode", str, rc.split_mode)
 
-    companies = []
-    for name in parser.sections():
-        if name.startswith("company:"):
-            label = name.split(":", 1)[1].strip()
-            companies.append(CompanyEntry(
-                label=label,
-                prices=parser[name].get("prices") or None,
-                fundamentals=parser[name].get("fundamentals") or None,
-            ))
+    companies = [CompanyEntry(label=name.split(":", 1)[1].strip(),
+                              prices=get(name, "prices", str, None) or None,
+                              fundamentals=get(name, "fundamentals", str, None) or None)
+                 for name in parser.sections() if name.startswith("company:")]
     if companies:
         rc.companies = companies
+
+    if parser.defaults():
+        raise ValueError(f"config: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in accepted:
+            raise ValueError(f"config: unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - accepted[section])
+        if unknown:
+            raise ValueError(f"config [{section}]: unknown key {', '.join(unknown)}")
     return rc
 
 
@@ -275,28 +280,19 @@ def cmd_features(rc: RunConfig) -> int:
                                   [b.date for b in bars], fund_daily)
         aligned_dates = set(bundle.aligned.dates)
         deleted = [b.date for b in bars if b.date not in aligned_dates]
-        with open(os.path.join(out, "deleted_rows.csv"), "w", encoding="utf-8") as fh:
-            fh.write("date\n")
-            for d in deleted:
-                fh.write(d.isoformat() + "\n")
-        with open(os.path.join(out, "alignment_summary.csv"), "w", encoding="utf-8") as fh:
-            fh.write("company,input_days,aligned_rows,feature_columns,deleted_rows\n")
-            fh.write(f"{entry.label},{len(bars)},{len(bundle.aligned.dates)},"
-                     f"{len(bundle.aligned.feature_names)},{len(deleted)}\n")
+        write_csv(os.path.join(out, "deleted_rows.csv"), ["date"], ([d] for d in deleted))
+        write_csv(os.path.join(out, "alignment_summary.csv"),
+                  ["company", "input_days", "aligned_rows", "feature_columns", "deleted_rows"],
+                  [(entry.label, len(bars), len(bundle.aligned.dates),
+                    len(bundle.aligned.feature_names), len(deleted))])
         print(f"{entry.label}: {len(bars)} days -> {len(bundle.aligned.dates)} aligned rows "
               f"({len(deleted)} deleted), {len(bundle.aligned.feature_names)} features")
     return 0
 
 
 def _write_daily_fundamentals(path, dates, matrix):
-    import csv as _csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(("date",) + fund.RATIO_NAMES)
-        for i, date in enumerate(dates):
-            row = [date.isoformat()]
-            row += ["" if math.isnan(v) else repr(float(v)) for v in matrix[i]]
-            writer.writerow(row)
+    write_csv(path, ("date",) + fund.RATIO_NAMES,
+              ([date] + row for date, row in zip(dates, np.asarray(matrix).tolist())))
 
 
 def cmd_pca(rc: RunConfig) -> int:
@@ -324,10 +320,9 @@ def cmd_train(rc: RunConfig) -> int:
         out = _outdir(rc, entry.label)
         save_model(os.path.join(out, "model.json"), artifacts.model)
         rec = artifacts.record
-        with open(os.path.join(out, "training_curve.csv"), "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_mse,val_mse\n")
-            for e, (tm, vm) in enumerate(zip(rec.train_mse, rec.val_mse), start=1):
-                fh.write(f"{e},{tm!r},{vm!r}\n")
+        write_csv(os.path.join(out, "training_curve.csv"), ["epoch", "train_mse", "val_mse"],
+                  ((e, tm, vm) for e, (tm, vm) in
+                   enumerate(zip(rec.train_mse, rec.val_mse), start=1)))
         rows = [(d, t, p, p - t) for d, t, p in artifacts.prediction_rows]
         write_predictions(os.path.join(out, f"predictions_{entry.label}.csv"), rows)
         print(f"{entry.label}: {rc.train.algorithm.upper()} stopped after "

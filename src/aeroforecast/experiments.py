@@ -9,7 +9,6 @@ derived with stable labels, so any repeat can be reproduced alone.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .fundamentals import RATIO_NAMES
 from .indicators import TECHNICAL_COLUMNS
-from .market_data import AlignedDataset
+from .market_data import AlignedDataset, write_csv
 from .pca import fit_pca, transform
 from .rnn import (SequenceDataset, build_supervised, forward, init_rnn,
                   loss_mse, rescale_output)
@@ -398,17 +397,12 @@ def cell_name(spec: ExperimentSpec) -> str:
 
 def write_grid_results(path, report: GridReport) -> None:
     """``grid_results.csv``: one row per cell, spec fields then averages."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GRID_RESULT_COLUMNS)
-        for res in report.results:
-            s = res.spec
-            writer.writerow([
-                s.company_label, s.algorithm, s.feature_set, s.n_hidden,
-                s.delay, s.pca_k, s.repeats, s.base_seed,
-                repr(res.avg_total_epochs), repr(res.avg_best_epochs),
-                repr(res.avg_test_mse), repr(res.avg_runtime_seconds),
-            ])
+    write_csv(path, GRID_RESULT_COLUMNS, (
+        (res.spec.company_label, res.spec.algorithm, res.spec.feature_set,
+         res.spec.n_hidden, res.spec.delay, res.spec.pca_k, res.spec.repeats,
+         res.spec.base_seed, res.avg_total_epochs, res.avg_best_epochs,
+         res.avg_test_mse, res.avg_runtime_seconds)
+        for res in report.results))
 
 
 def write_marginals(out_dir, report: GridReport) -> list:
@@ -416,23 +410,12 @@ def write_marginals(out_dir, report: GridReport) -> list:
     paths = []
     for dim in MARGINAL_DIMENSIONS:
         path = f"{out_dir}/marginals_{dim}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["company", dim, "avg_total_epochs",
-                             "avg_best_epochs", "avg_test_mse",
-                             "avg_runtime_seconds"])
-            for row in report.marginal(dim):
-                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]),
-                                 repr(row[4]), repr(row[5])])
+        write_csv(path, ["company", dim, "avg_total_epochs", "avg_best_epochs",
+                         "avg_test_mse", "avg_runtime_seconds"], report.marginal(dim))
         paths.append(path)
     return paths
 
 
 def write_predictions(path, rows) -> None:
     """``predictions_<cell>.csv``: date,target,prediction,error rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "target", "prediction", "error"])
-        for date, target, pred, err in rows:
-            writer.writerow([date.isoformat(), repr(float(target)),
-                             repr(float(pred)), repr(float(err))])
+    write_csv(path, ["date", "target", "prediction", "error"], rows)

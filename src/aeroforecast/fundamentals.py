@@ -10,14 +10,14 @@ affected days.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .market_data import MarketDataError, QuarterlyReport, _parse_date
+from .market_data import (MarketDataError, QuarterlyReport, _parse_date,
+                          _parse_float, read_csv, write_csv)
 
 # Statement line items accepted in fundamentals.csv.
 STATEMENT_FIELDS = (
@@ -154,28 +154,37 @@ def ratios_from_report(report: QuarterlyReport,
     return compute_ratios(report, year_ago=year_ago, market_price=market_price)
 
 
+YEAR_AGO_TOLERANCE_DAYS = 45
+
+
 def quarterly_ratio_matrix(reports, bars=None):
     """(quarter dates, n_quarters x 13 matrix) of ratio features.
 
-    Year-ago lookups pair report i with report i-4; the market price for
-    P/E is the close of the last bar on or before the quarter end, found
-    by bisection over the bar dates (increasing, as ``load_prices``
-    guarantees).
+    Year-ago lookups pair each report with the one whose quarter end is
+    closest to 365 days earlier, within ``YEAR_AGO_TOLERANCE_DAYS`` (the
+    earlier report wins a tie), so a missing quarter leaves its growth
+    ratios NaN instead of shifting every later pairing.  The market price
+    for P/E is the close of the last bar on or before the quarter end.
+    Both lookups bisect over dates, which must increase, as the loaders
+    guarantee.
     """
     dates = [b.date for b in bars] if bars else []
+    q_dates = [r.quarter_end for r in reports]
 
     def price_at(day):
         i = bisect.bisect_right(dates, day)
         return bars[i - 1].close if i else None
 
-    rows = []
-    q_dates = []
-    for i, report in enumerate(reports):
-        year_ago = reports[i - 4] if i >= 4 else None
-        ratios = ratios_from_report(report, market_price=price_at(report.quarter_end),
-                                    year_ago=year_ago)
-        rows.append(ratios.as_vector())
-        q_dates.append(report.quarter_end)
+    def year_ago(day):
+        target = day - dt.timedelta(days=365)
+        tolerance = dt.timedelta(days=YEAR_AGO_TOLERANCE_DAYS)
+        lo = bisect.bisect_left(q_dates, target - tolerance)
+        hi = bisect.bisect_right(q_dates, target + tolerance)
+        return min(reports[lo:hi], key=lambda r: abs(r.quarter_end - target), default=None)
+
+    rows = [ratios_from_report(r, market_price=price_at(r.quarter_end),
+                               year_ago=year_ago(r.quarter_end)).as_vector()
+            for r in reports]
     return q_dates, np.array(rows, dtype=float)
 
 
@@ -230,66 +239,45 @@ def load_fundamentals(path) -> list[QuarterlyReport]:
     """Load ``fundamentals.csv`` (header ``quarter_end,<name>,...``).
 
     Column names must come from the statement-field registry or the
-    ratio-name registry.  Empty cells mean "absent"; duplicate or
-    out-of-order quarter ends are rejected.
+    ratio-name registry.  Empty cells mean "absent"; non-finite values
+    and duplicate or out-of-order quarter ends are rejected.
     """
     known = set(STATEMENT_FIELDS) | set(RATIO_NAMES)
+    rows = read_csv(path)
+    header = next(rows)
+    if not header or header[0].lower() != "quarter_end":
+        raise MarketDataError(f"{path}: first column must be quarter_end")
+    names = header[1:]
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise MarketDataError(
+            f"{path}: unknown fundamental columns {unknown}; "
+            "names must match the statement-field or ratio registry"
+        )
     reports: list[QuarterlyReport] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise MarketDataError(f"{path}: empty file") from None
-        if not header or header[0].lower() != "quarter_end":
-            raise MarketDataError(f"{path}: first column must be quarter_end")
-        names = header[1:]
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise MarketDataError(
-                f"{path}: unknown fundamental columns {unknown}; "
-                "names must match the statement-field or ratio registry"
-            )
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            where = f"{path} row {i}"
-            if len(row) != len(header):
+    for where, row in rows:
+        q_end = _parse_date(row[0], where)
+        values = {}
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            if cell:
+                values[name] = _parse_float(cell, where, name)
+                if not math.isfinite(values[name]):
+                    raise MarketDataError(f"{where}: non-finite {name} {values[name]}")
+        if reports:
+            if q_end == reports[-1].quarter_end:
+                raise MarketDataError(f"{where}: duplicate quarter end {q_end}")
+            if q_end < reports[-1].quarter_end:
                 raise MarketDataError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}"
+                    f"{where}: quarter end {q_end} not after {reports[-1].quarter_end}"
                 )
-            q_end = _parse_date(row[0], where)
-            values = {}
-            for name, cell in zip(names, row[1:]):
-                cell = cell.strip()
-                if cell:
-                    try:
-                        values[name] = float(cell)
-                    except ValueError:
-                        raise MarketDataError(
-                            f"{where}: bad number {cell!r} in column {name!r}"
-                        ) from None
-            if reports:
-                if q_end == reports[-1].quarter_end:
-                    raise MarketDataError(f"{where}: duplicate quarter end {q_end}")
-                if q_end < reports[-1].quarter_end:
-                    raise MarketDataError(
-                        f"{where}: quarter end {q_end} not after {reports[-1].quarter_end}"
-                    )
-            reports.append(QuarterlyReport(quarter_end=q_end, values=values))
-    if not reports:
-        raise MarketDataError(f"{path}: no data rows")
+        reports.append(QuarterlyReport(quarter_end=q_end, values=values))
     return reports
 
 
 def write_fundamentals(path, reports) -> None:
     """Inverse of :func:`load_fundamentals` (statement-field reports)."""
     names = sorted({name for r in reports for name in r.values})
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter_end"] + names)
-        for r in reports:
-            row = [r.quarter_end.isoformat()]
-            row += ["" if name not in r.values else repr(float(r.values[name]))
-                    for name in names]
-            writer.writerow(row)
+    write_csv(path, ["quarter_end"] + names,
+              ([r.quarter_end] + [float(r.values.get(name, math.nan)) for name in names]
+               for r in reports))

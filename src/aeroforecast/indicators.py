@@ -9,11 +9,12 @@ only on bars 0..t.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .market_data import write_csv
 
 # Column order of the technical feature matrix.
 TECHNICAL_COLUMNS = (
@@ -311,14 +312,9 @@ def compute_technical_matrix(bars, cfg: IndicatorConfig = IndicatorConfig()) -> 
 
 def write_technical_csv(path, dates, matrix) -> None:
     """Dump the technical matrix; missing values become empty fields."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("date",) + TECHNICAL_COLUMNS)
-        for i, date in enumerate(dates):
-            row = [date.isoformat()]
-            row += ["" if np.isnan(v) else repr(float(v)) for v in matrix[i]]
-            writer.writerow(row)
+    write_csv(path, ("date",) + TECHNICAL_COLUMNS,
+              ([date] + row for date, row in
+               zip(dates, np.asarray(matrix, dtype=float).tolist())))
 
 
 def _hlc(bars):

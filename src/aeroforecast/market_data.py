@@ -1,10 +1,16 @@
 """Daily market data and quarterly fundamentals: loading, validation,
-cleaning/alignment, and a synthetic generator.
+cleaning/alignment, a synthetic generator, and the CSV format.
 
 A "sample" is one trading day.  Rows with any missing feature value
 (technical or fundamental, including indicator warm-up rows) are deleted
 from every matrix so the surviving technical, fundamental, and target
 rows always cover the same dates.
+
+Every CSV file the package reads or writes goes through
+:func:`read_csv` and :func:`write_csv`.  The format: one header row,
+``\\n`` line ends, floats (numpy floats too) written as ``repr(float(v))``
+so they read back exactly, NaN as an empty field, dates as ISO
+``YYYY-MM-DD``; other values go to the :mod:`csv` module unchanged.
 """
 
 from __future__ import annotations
@@ -117,64 +123,92 @@ def _parse_float(text: str, where: str, column: str) -> float:
 PRICE_COLUMNS = ("date", "open", "high", "low", "close", "volume")
 
 
+def _field(value):
+    if isinstance(value, (float, np.floating)):
+        return "" if value != value else repr(float(value))
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` (iterables of values) in the
+    package's CSV format (module docstring).  Convert numpy matrices
+    with ``.tolist()`` first: formatting Python floats is much faster."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_field, row) for row in rows)
+
+
+def read_csv(path):
+    """Yield the stripped header row, then ``(where, fields)`` for each
+    non-blank data row, where ``where`` is ``"<path> row <i>"`` for error
+    messages.  Raises :class:`MarketDataError` for an empty file, a row
+    whose field count differs from the header's, or no data rows.  Rows
+    are read lazily, so a caller checks the header before any row error.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise MarketDataError(f"{path}: empty file") from None
+        yield header
+        n_rows = 0
+        for i, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            where = f"{path} row {i}"
+            if len(row) != len(header):
+                raise MarketDataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            n_rows += 1
+            yield where, row
+    if not n_rows:
+        raise MarketDataError(f"{path}: no data rows")
+
+
 def load_prices(path) -> list[PriceBar]:
     """Load a ``prices.csv`` (header ``date,open,high,low,close,volume``).
 
     Bars are validated and must be sorted by strictly increasing date;
     duplicate dates are rejected.  Errors name the offending data row.
     """
+    rows = read_csv(path)
+    header = next(rows)
+    if [h.lower() for h in header] != list(PRICE_COLUMNS):
+        raise MarketDataError(
+            f"{path}: expected header {','.join(PRICE_COLUMNS)}, got {','.join(header)}"
+        )
     bars: list[PriceBar] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for where, row in rows:
+        bar = PriceBar(
+            date=_parse_date(row[0], where),
+            open=_parse_float(row[1], where, "open"),
+            high=_parse_float(row[2], where, "high"),
+            low=_parse_float(row[3], where, "low"),
+            close=_parse_float(row[4], where, "close"),
+            volume=_parse_float(row[5], where, "volume"),
+        )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MarketDataError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != list(PRICE_COLUMNS):
-            raise MarketDataError(
-                f"{path}: expected header {','.join(PRICE_COLUMNS)}, got {','.join(header)}"
-            )
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            where = f"{path} row {i}"
-            if len(row) != 6:
-                raise MarketDataError(f"{where}: expected 6 fields, got {len(row)}")
-            bar = PriceBar(
-                date=_parse_date(row[0], where),
-                open=_parse_float(row[1], where, "open"),
-                high=_parse_float(row[2], where, "high"),
-                low=_parse_float(row[3], where, "low"),
-                close=_parse_float(row[4], where, "close"),
-                volume=_parse_float(row[5], where, "volume"),
-            )
-            try:
-                bar.validate()
-            except MarketDataError as exc:
-                raise MarketDataError(f"{where}: {exc}") from None
-            if bars:
-                if bar.date == bars[-1].date:
-                    raise MarketDataError(f"{where}: duplicate date {bar.date}")
-                if bar.date < bars[-1].date:
-                    raise MarketDataError(
-                        f"{where}: date {bar.date} not after {bars[-1].date}"
-                    )
-            bars.append(bar)
-    if not bars:
-        raise MarketDataError(f"{path}: no data rows")
+            bar.validate()
+        except MarketDataError as exc:
+            raise MarketDataError(f"{where}: {exc}") from None
+        if bars:
+            if bar.date == bars[-1].date:
+                raise MarketDataError(f"{where}: duplicate date {bar.date}")
+            if bar.date < bars[-1].date:
+                raise MarketDataError(
+                    f"{where}: date {bar.date} not after {bars[-1].date}"
+                )
+        bars.append(bar)
     return bars
 
 
 def write_prices(path, bars) -> None:
     """Inverse of :func:`load_prices`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PRICE_COLUMNS)
-        for b in bars:
-            writer.writerow(
-                [b.date.isoformat(), repr(b.open), repr(b.high), repr(b.low),
-                 repr(b.close), repr(b.volume)]
-            )
+    write_csv(path, PRICE_COLUMNS,
+              ((b.date, b.open, b.high, b.low, b.close, b.volume) for b in bars))
 
 
 def clean_and_align(bars, technical, technical_names, fundamental,

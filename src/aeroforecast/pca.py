@@ -10,10 +10,11 @@ designed to expose.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .market_data import write_csv
 
 SCALE_MODES = ("center-only", "z-score")
 
@@ -128,18 +129,12 @@ def explained_variance_rows(model: PcaModel):
 
 def write_pca_report(path, model: PcaModel) -> None:
     """``pca_report.csv``: component, individual, cumulative_pct."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["component", "individual", "cumulative_pct"])
-        for component, individual, cumulative in explained_variance_rows(model):
-            writer.writerow([component, repr(individual), cumulative])
+    write_csv(path, ["component", "individual", "cumulative_pct"],
+              explained_variance_rows(model))
 
 
 def write_pca_scatter(path, projected) -> None:
     """``pca_scatter.csv``: one row of projected coordinates per sample."""
     projected = np.asarray(projected, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"pc{i + 1}" for i in range(projected.shape[1])])
-        for row in projected:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, [f"pc{i + 1}" for i in range(projected.shape[1])],
+              projected.tolist())

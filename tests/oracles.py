@@ -9,11 +9,17 @@ missing-value convention.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 
 import numpy as np
 
+from aeroforecast.experiments import GRID_RESULT_COLUMNS, MARGINAL_DIMENSIONS, GridReport
+from aeroforecast.fundamentals import RATIO_NAMES
+from aeroforecast.indicators import TECHNICAL_COLUMNS
+from aeroforecast.market_data import PRICE_COLUMNS
+from aeroforecast.pca import PcaModel, explained_variance_rows
 from aeroforecast.trainers import TrainConfig, _EpochLog
 
 NAN = float("nan")
@@ -515,3 +521,141 @@ def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
     alpha = max(gamma / (2.0 * max(weight_norm, 1e-300)), 1e-12)
     beta = max((n - gamma) / (2.0 * max(sse, 1e-300)), 1e-12)
     return alpha, beta, gamma
+
+
+# ---------------------------------------------------------------------------
+# Report writers as each module wrote them before they shared
+# ``market_data.write_csv``, kept as the reference for byte-identical
+# output.  The three CLI files were written inline by the commands; their
+# statements are wrapped in functions here.
+# ---------------------------------------------------------------------------
+
+
+def write_prices(path, bars) -> None:
+    """Inverse of :func:`load_prices`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PRICE_COLUMNS)
+        for b in bars:
+            writer.writerow(
+                [b.date.isoformat(), repr(b.open), repr(b.high), repr(b.low),
+                 repr(b.close), repr(b.volume)]
+            )
+
+
+def write_fundamentals(path, reports) -> None:
+    """Inverse of :func:`load_fundamentals` (statement-field reports)."""
+    names = sorted({name for r in reports for name in r.values})
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["quarter_end"] + names)
+        for r in reports:
+            row = [r.quarter_end.isoformat()]
+            row += ["" if name not in r.values else repr(float(r.values[name]))
+                    for name in names]
+            writer.writerow(row)
+
+
+def write_technical_csv(path, dates, matrix) -> None:
+    """Dump the technical matrix; missing values become empty fields."""
+    matrix = np.asarray(matrix, dtype=float)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("date",) + TECHNICAL_COLUMNS)
+        for i, date in enumerate(dates):
+            row = [date.isoformat()]
+            row += ["" if np.isnan(v) else repr(float(v)) for v in matrix[i]]
+            writer.writerow(row)
+
+
+def write_daily_fundamentals(path, dates, matrix):
+    import csv as _csv
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = _csv.writer(fh, lineterminator="\n")
+        writer.writerow(("date",) + RATIO_NAMES)
+        for i, date in enumerate(dates):
+            row = [date.isoformat()]
+            row += ["" if math.isnan(v) else repr(float(v)) for v in matrix[i]]
+            writer.writerow(row)
+
+
+def write_deleted_rows(path, deleted):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("date\n")
+        for d in deleted:
+            fh.write(d.isoformat() + "\n")
+
+
+def write_alignment_summary(path, label, bars, aligned, deleted):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("company,input_days,aligned_rows,feature_columns,deleted_rows\n")
+        fh.write(f"{label},{len(bars)},{len(aligned.dates)},"
+                 f"{len(aligned.feature_names)},{len(deleted)}\n")
+
+
+def write_training_curve(path, rec):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,train_mse,val_mse\n")
+        for e, (tm, vm) in enumerate(zip(rec.train_mse, rec.val_mse), start=1):
+            fh.write(f"{e},{tm!r},{vm!r}\n")
+
+
+def write_pca_report(path, model: PcaModel) -> None:
+    """``pca_report.csv``: component, individual, cumulative_pct."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["component", "individual", "cumulative_pct"])
+        for component, individual, cumulative in explained_variance_rows(model):
+            writer.writerow([component, repr(individual), cumulative])
+
+
+def write_pca_scatter(path, projected) -> None:
+    """``pca_scatter.csv``: one row of projected coordinates per sample."""
+    projected = np.asarray(projected, dtype=float)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"pc{i + 1}" for i in range(projected.shape[1])])
+        for row in projected:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def write_grid_results(path, report: GridReport) -> None:
+    """``grid_results.csv``: one row per cell, spec fields then averages."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(GRID_RESULT_COLUMNS)
+        for res in report.results:
+            s = res.spec
+            writer.writerow([
+                s.company_label, s.algorithm, s.feature_set, s.n_hidden,
+                s.delay, s.pca_k, s.repeats, s.base_seed,
+                repr(res.avg_total_epochs), repr(res.avg_best_epochs),
+                repr(res.avg_test_mse), repr(res.avg_runtime_seconds),
+            ])
+
+
+def write_marginals(out_dir, report: GridReport) -> list:
+    """``marginals_<dimension>.csv`` per grouping dimension."""
+    paths = []
+    for dim in MARGINAL_DIMENSIONS:
+        path = f"{out_dir}/marginals_{dim}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["company", dim, "avg_total_epochs",
+                             "avg_best_epochs", "avg_test_mse",
+                             "avg_runtime_seconds"])
+            for row in report.marginal(dim):
+                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]),
+                                 repr(row[4]), repr(row[5])])
+        paths.append(path)
+    return paths
+
+
+def write_predictions(path, rows) -> None:
+    """``predictions_<cell>.csv``: date,target,prediction,error rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", "target", "prediction", "error"])
+        for date, target, pred, err in rows:
+            writer.writerow([date.isoformat(), repr(float(target)),
+                             repr(float(pred)), repr(float(err))])

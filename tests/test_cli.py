@@ -203,3 +203,49 @@ class TestConfigAndFlags:
         cfg = tmp_path / "c.ini"
         cfg.write_text(f"[company:Z]\nprices = {bad}\nfundamentals = {bad}\n")
         assert main(["features", "--config", str(cfg)]) == 2
+
+
+class TestConfigValidation:
+    """Only the sections and keys ``load_config`` reads are accepted."""
+
+    @pytest.mark.parametrize("text, named", [
+        ("[train]\nmax_epoch = 3\n", ["[train]", "max_epoch"]),
+        ("[experment]\nrepeats = 2\n", ["[experment]"]),
+        ("[company:ACME]\nprice = p.csv\n", ["[company:ACME]", "price"]),
+        ("[DEFAULT]\nseed = 3\n", ["[DEFAULT]"]),
+        ("[train]\nbr_val_stop = ture\n", ["[train]", "br_val_stop", "ture"]),
+        ("[experiment]\nstandardize_inputs = 2\n", ["[experiment]", "standardize_inputs"]),
+    ])
+    def test_rejected_with_section_and_key(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(str(cfg))
+        assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for word in named:
+            assert word in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("NO", False), ("off", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[train]\nbr_val_stop = {raw}\n\n"
+                       f"[experiment]\nstandardize_inputs = {raw}\n")
+        rc = load_config(str(cfg))
+        assert rc.train.br_val_stop is value
+        assert rc.standardize_inputs is value
+
+    def test_benchmark_style_config_loads(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[run]\nseed = 4\njobs = 1\n[train]\nmax_epochs = 3\n"
+                       "feature_set = mixed\n[pca]\nk = 3\n"
+                       "[company:CO01]\nprices = p.csv\nfundamentals = f.csv\n")
+        rc = load_config(str(cfg))
+        assert (rc.seed, rc.jobs, rc.train.max_epochs, rc.feature_set, rc.pca_k) == \
+               (4, 1, 3, "mixed", 3)
+        assert rc.companies[0].prices == "p.csv"

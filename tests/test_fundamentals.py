@@ -223,6 +223,14 @@ class TestLoader:
         with pytest.raises(MarketDataError, match="duplicate"):
             fund.load_fundamentals(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text("quarter_end,revenue,total_assets\n"
+                        f"2020-03-31,1.0,2.0\n2020-06-30,1.5,{cell}\n")
+        with pytest.raises(MarketDataError, match="row 2: non-finite total_assets"):
+            fund.load_fundamentals(path)
+
     def test_registry_contents(self):
         assert len(fund.STATEMENT_FIELDS) == 20
         assert len(fund.RATIO_NAMES) == 13
@@ -275,3 +283,42 @@ class TestDailyPipeline:
         assert matrix.shape == (300, 13)
         assert names == fund.RATIO_NAMES
         assert np.isfinite(matrix).all()
+
+    @pytest.mark.parametrize("n_days", [60, 120, 300, 1260, 1500, 5040])
+    def test_synthetic_layout_pairs_four_reports_back(self, n_days):
+        bars, reports = generate_synthetic(SyntheticSpec(seed=16, n_days=n_days))
+        _, matrix = fund.quarterly_ratio_matrix(reports, bars)
+        price = {b.date: b.close for b in bars}
+        for k, report in enumerate(reports):
+            want = fund.ratios_from_report(report, price.get(report.quarter_end),
+                                           year_ago=reports[k - 4] if k >= 4 else None)
+            want = want.as_vector()
+            assert np.array_equal(matrix[k], want, equal_nan=True), k
+
+    def test_missing_quarter_leaves_its_twin_without_growth(self):
+        bars, reports = generate_synthetic(SyntheticSpec(seed=17, n_days=1260))
+        gap = 9
+        kept = reports[:gap] + reports[gap + 1:]
+        _, matrix = fund.quarterly_ratio_matrix(kept, bars)
+        price = {b.date: b.close for b in bars}
+        growth = [fund.RATIO_NAMES.index(n) for n in
+                  ("revenue_growth", "total_assets_growth", "total_debt_growth")]
+        for row, k in enumerate(i for i in range(len(reports)) if i != gap):
+            year_ago = reports[k - 4] if k >= 4 and k - 4 != gap else None
+            want = fund.ratios_from_report(reports[k], price.get(reports[k].quarter_end),
+                                           year_ago=year_ago).as_vector()
+            assert np.array_equal(matrix[row], want, equal_nan=True), k
+            assert np.isnan(matrix[row, growth]).all() == (year_ago is None)
+
+    @pytest.mark.parametrize("n_days", [128, 160])
+    def test_short_stub_quarter_pairs_by_date(self, n_days):
+        """The final knot sits 1 or 33 trading days after the one before,
+        so the report four positions back lies only 268-314 days earlier;
+        the one five back is within 45 days of a year."""
+        bars, reports = generate_synthetic(SyntheticSpec(seed=18, n_days=n_days))
+        last, four_back, five_back = reports[-1], reports[-5], reports[-6]
+        assert (last.quarter_end - four_back.quarter_end).days in range(268, 315)
+        assert abs((last.quarter_end - five_back.quarter_end).days - 365) <= 45
+        _, matrix = fund.quarterly_ratio_matrix(reports, bars)
+        want = fund.ratios_from_report(last, bars[-1].close, year_ago=five_back).as_vector()
+        assert np.array_equal(matrix[-1], want)
