@@ -13,6 +13,22 @@ plus command-line flag overrides; flags win.  Every setting has a
 default, so with no config at all the commands run on two synthetic
 demo companies.  The master seed resolves as: --seed flag, then the
 config file, then the AEROFORECAST_SEED environment variable, then 0.
+
+Each INI section fills one object of the resolved :class:`RunConfig`:
+
+[run]            seed, out, jobs            -> RunConfig
+[synthetic]      n_days, drift, volatility,
+                 quarterly_pattern          -> RunConfig.synthetic (SyntheticSpec)
+[indicators]     every IndicatorConfig field -> RunConfig.indicators
+[train]          every TrainConfig field     -> RunConfig.train
+                 feature_set, neurons, delay -> RunConfig
+[pca]            k (none: no PCA), scale_mode, scope -> RunConfig.pca_*
+[experiment]     standardize_inputs, split_mode -> RunConfig
+[company:LABEL]  prices, fundamentals (none: synthetic) -> RunConfig.companies
+
+``train`` and ``grid`` share one ExperimentSpec, built by
+:func:`_experiment_spec`; each grid cell replaces only the company, the
+four grid dimensions, the repeat count and the seed.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ import numpy as np
 
 from . import fundamentals as fund
 from . import indicators as ind
-from .experiments import (CompanyBundle, ExperimentSpec, cell_name,
+from .experiments import (GRID_REPEATS, CompanyBundle, ExperimentSpec, cell_name,
                           run_grid, run_repeat, write_grid_results,
                           write_marginals, write_predictions)
 from .market_data import (MarketDataError, SyntheticSpec, clean_and_align,
@@ -52,8 +68,9 @@ class CompanyEntry:
 
 @dataclass
 class RunConfig:
+    """The resolved settings of one CLI run: config file, then flags."""
+
     seed: int = 0
-    seed_from_config: bool = False
     out: str = "aeroforecast_out"
     jobs: int = 1
     companies: list = field(default_factory=lambda: [
@@ -67,7 +84,6 @@ class RunConfig:
     feature_set: str = "technical"
     neurons: int = 10
     delay: int = 5
-    repeats: int = 10
     standardize_inputs: bool = True
     split_mode: str = "random"
 
@@ -75,11 +91,13 @@ class RunConfig:
 def load_config(path: str | None) -> RunConfig:
     """Parse the INI config; omitted keys keep their defaults.
 
-    The accepted sections and keys are exactly those this function reads:
-    anything else, and a boolean key whose value is not true/false,
-    yes/no, on/off or 1/0, raises ``ValueError`` naming section and key.
+    The seed is the config's ``[run] seed``, else ``AEROFORECAST_SEED``,
+    else 0.  The accepted sections and keys are exactly those this
+    function reads: anything else, a number that does not parse, and a
+    boolean key whose value is not true/false, yes/no, on/off or 1/0
+    raise ``ValueError`` naming section and key.
     """
-    rc = RunConfig()
+    rc = RunConfig(seed=int(os.environ.get("AEROFORECAST_SEED") or 0))
     if path is None:
         return rc
     parser = configparser.ConfigParser()
@@ -98,56 +116,42 @@ def load_config(path: str | None) -> RunConfig:
                 raise ValueError(f"config [{section}] {key}: {raw!r} is not a boolean "
                                  "(use true/false, yes/no, on/off or 1/0)")
             return parser.BOOLEAN_STATES[raw.lower()]
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValueError(f"config [{section}] {key}: {raw!r} is not "
+                             f"{cast.__name__}") from None
 
-    seed = get("run", "seed", int, None)
-    if seed is not None:
-        rc.seed, rc.seed_from_config = seed, True
+    def fields_of(section, cls):
+        """One key per field of ``cls``, cast to the type of its default."""
+        return {f.name: get(section, f.name, type(f.default), f.default)
+                for f in dataclasses.fields(cls)}
+
+    rc.seed = get("run", "seed", int, rc.seed)
     rc.out = get("run", "out", str, rc.out)
     rc.jobs = get("run", "jobs", int, rc.jobs)
 
     rc.synthetic = SyntheticSpec(
-        seed=rc.seed,
         n_days=get("synthetic", "n_days", int, rc.synthetic.n_days),
         drift=get("synthetic", "drift", float, rc.synthetic.drift),
         volatility=get("synthetic", "volatility", float, rc.synthetic.volatility),
         quarterly_pattern=get("synthetic", "quarterly_pattern", str,
                               rc.synthetic.quarterly_pattern),
     )
-
-    kwargs = {}
-    for f in dataclasses.fields(ind.IndicatorConfig):
-        cast = str if f.name == "cci_mode" else (
-            float if f.type == "float" else int)
-        value = get("indicators", f.name, cast, None)
-        if value is not None:
-            kwargs[f.name] = value
-    rc.indicators = ind.IndicatorConfig(**kwargs)
+    rc.indicators = ind.IndicatorConfig(**fields_of("indicators", ind.IndicatorConfig))
 
     k_raw = get("pca", "k", str, str(rc.pca_k)).lower()
-    rc.pca_k = None if k_raw in ("", "none", "0") else int(k_raw)
+    rc.pca_k = None if k_raw in ("", "none", "0") else get("pca", "k", int, rc.pca_k)
     rc.pca_scale_mode = get("pca", "scale_mode", str, rc.pca_scale_mode)
     rc.pca_scope = get("pca", "scope", str, rc.pca_scope)
 
-    rc.train = TrainConfig(
-        algorithm=get("train", "algorithm", str, rc.train.algorithm).lower(),
-        max_epochs=get("train", "max_epochs", int, rc.train.max_epochs),
-        grad_tol=get("train", "grad_tol", float, rc.train.grad_tol),
-        mu0=get("train", "mu0", float, rc.train.mu0),
-        mu_inc=get("train", "mu_inc", float, rc.train.mu_inc),
-        mu_dec=get("train", "mu_dec", float, rc.train.mu_dec),
-        mu_max=get("train", "mu_max", float, rc.train.mu_max),
-        scg_sigma=get("train", "scg_sigma", float, rc.train.scg_sigma),
-        scg_lambda0=get("train", "scg_lambda0", float, rc.train.scg_lambda0),
-        val_patience=get("train", "val_patience", int, rc.train.val_patience),
-        br_val_stop=get("train", "br_val_stop", bool, rc.train.br_val_stop),
-        learning_rate=get("train", "learning_rate", float, rc.train.learning_rate),
-    )
+    train = fields_of("train", TrainConfig)
+    train["algorithm"] = train["algorithm"].lower()
+    rc.train = TrainConfig(**train)
     rc.feature_set = get("train", "feature_set", str, rc.feature_set)
     rc.neurons = get("train", "neurons", int, rc.neurons)
     rc.delay = get("train", "delay", int, rc.delay)
 
-    rc.repeats = get("experiment", "repeats", int, rc.repeats)
     rc.standardize_inputs = get("experiment", "standardize_inputs", bool,
                                 rc.standardize_inputs)
     rc.split_mode = get("experiment", "split_mode", str, rc.split_mode)
@@ -171,20 +175,19 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def apply_overrides(rc: RunConfig, args) -> RunConfig:
-    # Seed precedence: flag, config file, AEROFORECAST_SEED, default.
+    """Command-line flags win over the config."""
     if args.seed is not None:
         rc.seed = args.seed
-    elif not rc.seed_from_config:
-        env = os.environ.get("AEROFORECAST_SEED")
-        if env:
-            rc.seed = int(env)
-    rc.synthetic = dataclasses.replace(rc.synthetic, seed=rc.seed)
     if args.out is not None:
         rc.out = args.out
     if args.jobs is not None:
         rc.jobs = args.jobs
     if args.company is not None:
         matching = [c for c in rc.companies if c.label == args.company]
+        # Without [company:...] sections any label is a synthetic company.
+        if not matching and rc.companies != RunConfig().companies:
+            raise ValueError(f"--company {args.company}: the config names only "
+                             + ", ".join(c.label for c in rc.companies))
         rc.companies = matching or [CompanyEntry(args.company)]
     if getattr(args, "feature_set", None) is not None:
         rc.feature_set = args.feature_set
@@ -296,7 +299,9 @@ def _write_daily_fundamentals(path, dates, matrix):
 
 
 def cmd_pca(rc: RunConfig) -> int:
-    k = rc.pca_k if rc.pca_k is not None else 3
+    k = rc.pca_k
+    if k is None:
+        raise ValueError("config [pca] k: pca needs a component count, not none")
     for entry in rc.companies:
         bundle, _, _, _ = build_bundle(rc, entry)
         features = bundle.features_for(rc.feature_set)
@@ -336,8 +341,8 @@ def cmd_grid(rc: RunConfig) -> int:
     for entry in rc.companies:
         bundle, _, _, _ = build_bundle(rc, entry)
         bundles.append(bundle)
-    k = rc.pca_k if rc.pca_k is not None else 3
-    report = run_grid(bundles, rc.seed, cfg=rc.train, pca_k=k, jobs=rc.jobs)
+    template = _experiment_spec(rc, bundles[0].label, GRID_REPEATS, rc.seed)
+    report = run_grid(bundles, rc.seed, cfg=rc.train, template=template, jobs=rc.jobs)
     out = _outdir(rc)
     write_grid_results(os.path.join(out, "grid_results.csv"), report)
     write_marginals(out, report)

@@ -62,7 +62,6 @@ class ExperimentSpec:
     pca_scale_mode: str = "center-only"
     pca_scope: str = "full"  # "full" (paper default) or "train"
     standardize_inputs: bool = True
-    standardize_target: bool = True  # internal only; metrics stay natural-scale
     split_mode: str = "random"  # or "blocked" contiguous time blocks
     grid_mode: bool = False
 
@@ -201,22 +200,18 @@ def run_repeat(spec: ExperimentSpec, bundle: CompanyBundle, seed: int,
     fit_rows = np.sort(train_idx) if spec.pca_scope == "train" else None
     inputs = prepare_inputs(spec, features, fit_rows)
     labels = target[spec.delay:]
-    if spec.standardize_target:
-        stats = labels if fit_rows is None else labels[fit_rows]
-        y_mean = float(stats.mean())
-        y_scale = float(stats.std()) or 1.0
-    else:
-        y_mean, y_scale = 0.0, 1.0
+    stats = labels if fit_rows is None else labels[fit_rows]
+    y_mean = float(stats.mean())
+    y_scale = float(stats.std()) or 1.0
     data = build_supervised(inputs, (target - y_mean) / y_scale, tau=spec.delay)
 
     model0 = init_rnn(inputs.shape[1], spec.n_hidden, spec.delay,
                       seed=derive_seed(seed, "init"))
-    cfg = replace(cfg, algorithm=spec.algorithm, seed=seed)
+    cfg = replace(cfg, algorithm=spec.algorithm)
     trained, record = train(model0, data, train_idx, val_idx, cfg)
-    if spec.standardize_target:
-        trained = rescale_output(trained, y_scale, y_mean)
-        record.train_mse = [v * y_scale * y_scale for v in record.train_mse]
-        record.val_mse = [v * y_scale * y_scale for v in record.val_mse]
+    trained = rescale_output(trained, y_scale, y_mean)
+    record.train_mse = [v * y_scale * y_scale for v in record.train_mse]
+    record.val_mse = [v * y_scale * y_scale for v in record.val_mse]
 
     natural = SequenceDataset(inputs=data.inputs, targets=labels.copy())
     preds = forward(trained, natural)
@@ -274,28 +269,27 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
     return result
 
 
-def grid_specs(company_labels, master_seed: int, pca_k: int = 3):
+# The paper's settings for everything the grid does not vary.
+GRID_TEMPLATE = ExperimentSpec(company_label="", feature_set=FEATURE_SETS[0],
+                               algorithm=GRID_ALGORITHMS[0], n_hidden=GRID_NEURONS[0],
+                               delay=GRID_DELAYS[0])
+
+
+def grid_specs(company_labels, master_seed: int,
+               template: ExperimentSpec = GRID_TEMPLATE):
     """The documented cell enumeration: company, then algorithm, feature
-    set, hidden neurons, delay (innermost)."""
-    specs = []
-    for label in company_labels:
-        for algorithm in GRID_ALGORITHMS:
-            for feature_set in FEATURE_SETS:
-                for n_hidden in GRID_NEURONS:
-                    for delay in GRID_DELAYS:
-                        specs.append(ExperimentSpec(
-                            company_label=label,
-                            feature_set=feature_set,
-                            algorithm=algorithm,
-                            n_hidden=n_hidden,
-                            delay=delay,
-                            pca_k=pca_k,
-                            base_seed=derive_seed(master_seed, "grid", label,
-                                                  algorithm, feature_set,
-                                                  n_hidden, delay),
-                            grid_mode=True,
-                        ))
-    return specs
+    set, hidden neurons, delay (innermost).  Every other field comes
+    from ``template``."""
+    return [replace(template, company_label=label, algorithm=algorithm,
+                    feature_set=feature_set, n_hidden=n_hidden, delay=delay,
+                    repeats=GRID_REPEATS, grid_mode=True,
+                    base_seed=derive_seed(master_seed, "grid", label, algorithm,
+                                          feature_set, n_hidden, delay))
+            for label in company_labels
+            for algorithm in GRID_ALGORITHMS
+            for feature_set in FEATURE_SETS
+            for n_hidden in GRID_NEURONS
+            for delay in GRID_DELAYS]
 
 
 @dataclass
@@ -356,8 +350,9 @@ def _run_cell(args):
 
 
 def run_grid(bundles, master_seed: int, cfg: TrainConfig | None = None,
-             pca_k: int = 3, jobs: int = 1) -> GridReport:
-    """Run the full cell enumeration over all companies.
+             template: ExperimentSpec = GRID_TEMPLATE, jobs: int = 1) -> GridReport:
+    """Run the full cell enumeration over all companies, each cell a
+    copy of ``template`` (see :func:`grid_specs`).
 
     Cells are independent; with ``jobs > 1`` they run in a process pool,
     and results keep enumeration order either way.
@@ -367,7 +362,7 @@ def run_grid(bundles, master_seed: int, cfg: TrainConfig | None = None,
     by_label = {b.label: b for b in bundles}
     if len(by_label) != len(bundles):
         raise ValueError("duplicate company labels")
-    specs = grid_specs([b.label for b in bundles], master_seed, pca_k=pca_k)
+    specs = grid_specs([b.label for b in bundles], master_seed, template)
     tasks = [(spec, by_label[spec.company_label], cfg) for spec in specs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

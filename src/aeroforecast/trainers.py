@@ -54,10 +54,6 @@ class TrainConfig:
     scg_lambda0: float = 5e-7
     val_patience: int = 6
     br_val_stop: bool = False  # evidence re-estimation replaces early stop
-    seed: int = 0
-    # Recorded for configuration fidelity only: none of LM/BR/SCG consumes
-    # a fixed learning rate.
-    learning_rate: float = 0.02
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:

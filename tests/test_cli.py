@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from aeroforecast import fundamentals as fund
 from aeroforecast import indicators as ind
+from aeroforecast import cli, experiments
 from aeroforecast.cli import load_config, main
-from aeroforecast.experiments import ExperimentSpec, run_repeat
+from aeroforecast.experiments import ExperimentResult, ExperimentSpec, run_repeat
 from aeroforecast.market_data import load_prices
 from aeroforecast.seeding import derive_seed
 from aeroforecast.trainers import TrainConfig
@@ -176,6 +178,13 @@ class TestConfigAndFlags:
         assert (out1 / "X" / "prices.csv").read_bytes() == \
                (out2 / "X" / "prices.csv").read_bytes()
 
+    def test_company_flag_must_be_configured(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tmp_path / "o", extra="\n[company:ACME2]\n")
+        assert main(["features", "--config", cfg, "--company", "ACNE"]) == 2
+        err = capsys.readouterr().err
+        assert "ACNE" in err and "ACME, ACME2" in err
+        assert not (tmp_path / "o").exists()
+
     def test_indicator_overrides_parsed(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "o",
                            extra="\n[indicators]\nrsi_window = 10\nbb_k = 2.5\n")
@@ -215,6 +224,9 @@ class TestConfigValidation:
         ("[DEFAULT]\nseed = 3\n", ["[DEFAULT]"]),
         ("[train]\nbr_val_stop = ture\n", ["[train]", "br_val_stop", "ture"]),
         ("[experiment]\nstandardize_inputs = 2\n", ["[experiment]", "standardize_inputs"]),
+        ("[train]\nmax_epochs = three\n", ["config [train] max_epochs: 'three' is not int"]),
+        ("[train]\nlearning_rate = 0.5\n", ["[train]", "learning_rate"]),
+        ("[experiment]\nrepeats = 3\n", ["[experiment]", "repeats"]),
     ])
     def test_rejected_with_section_and_key(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "c.ini"
@@ -249,3 +261,62 @@ class TestConfigValidation:
         assert (rc.seed, rc.jobs, rc.train.max_epochs, rc.feature_set, rc.pca_k) == \
                (4, 1, 3, "mixed", 3)
         assert rc.companies[0].prices == "p.csv"
+
+    def test_every_field_is_a_key(self, tmp_path):
+        """Each TrainConfig and IndicatorConfig field is read from its
+        section, so no key can be read into nothing."""
+        lines = ["[train]"]
+        lines += [f"{f.name} = {f.default}" for f in dataclasses.fields(TrainConfig)]
+        lines += ["[indicators]"]
+        lines += [f"{f.name} = {f.default}" for f in dataclasses.fields(ind.IndicatorConfig)]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc = load_config(str(cfg))
+        assert rc.train == TrainConfig()
+        assert rc.indicators == ind.IndicatorConfig()
+
+
+class TestOneSpecPath:
+    """``grid`` and ``train`` build their specs from the same settings."""
+
+    SETTINGS = ("\n[pca]\nk = 2\nscale_mode = z-score\nscope = train\n"
+                "[experiment]\nstandardize_inputs = false\nsplit_mode = blocked\n")
+    WANT = (2, "z-score", "train", False, "blocked")
+
+    @staticmethod
+    def settings(spec):
+        return (spec.pca_k, spec.pca_scale_mode, spec.pca_scope,
+                spec.standardize_inputs, spec.split_mode)
+
+    def test_grid_cells_carry_the_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_cell(args):
+            seen.append(args[0])
+            return ExperimentResult(spec=args[0])
+
+        monkeypatch.setattr(experiments, "_run_cell", fake_cell)
+        cfg = write_config(tmp_path, tmp_path / "o", extra=self.SETTINGS)
+        assert main(["grid", "--config", cfg]) == 0
+        assert len(seen) == 108
+        assert {self.settings(spec) for spec in seen} == {self.WANT}
+
+    def test_train_spec_carries_the_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(spec, *args):
+            seen.append(spec)
+            return run_repeat(spec, *args)
+
+        monkeypatch.setattr(cli, "run_repeat", spy)
+        cfg = write_config(tmp_path, tmp_path / "o", extra=self.SETTINGS)
+        assert main(["train", "--config", cfg]) == 0
+        assert [self.settings(spec) for spec in seen] == [self.WANT]
+
+    @pytest.mark.parametrize("command", ["pca", "grid"])
+    def test_pca_k_none_rejected_where_components_are_needed(self, tmp_path, capsys,
+                                                              command):
+        cfg = write_config(tmp_path, tmp_path / "o", extra="\n[pca]\nk = none\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "pca" in err and "k" in err

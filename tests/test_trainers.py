@@ -249,15 +249,6 @@ class TestSharedBehavior:
             core(lambda theta: np.array([1.0, math.nan, 2.0]),
                  lambda theta: np.ones((3, 2)), np.zeros(2), TrainConfig())
 
-    def test_learning_rate_recorded_but_inert(self):
-        model = init_rnn(2, 3, 1, seed=27)
-        data = noisy_dataset(28)
-        idx, val = np.arange(40), np.arange(40, 60)
-        a = train(model, data, idx, val, TrainConfig(max_epochs=10, learning_rate=0.02))
-        b = train(model, data, idx, val, TrainConfig(max_epochs=10, learning_rate=0.5))
-        assert a[1].train_mse == b[1].train_mse
-        assert np.array_equal(a[0].params_to_vector(), b[0].params_to_vector())
-
 
 class TestDampingOverflow:
     """Cores whose objective can never decrease: every trial is rejected
