@@ -88,21 +88,18 @@ class RunConfig:
     split_mode: str = "random"
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Parse the INI config; omitted keys keep their defaults.
+def load_config(path: str | None, seed: int | None = None) -> RunConfig:
+    """Parse the INI config (None: defaults only); omitted keys keep defaults.
 
-    The seed is the config's ``[run] seed``, else ``AEROFORECAST_SEED``,
-    else 0.  The accepted sections and keys are exactly those this
-    function reads: anything else, a number that does not parse, and a
-    boolean key whose value is not true/false, yes/no, on/off or 1/0
-    raise ``ValueError`` naming section and key.
+    The seed is ``seed`` (the --seed flag), else ``[run] seed``, else
+    ``AEROFORECAST_SEED`` (read only then), else 0.  The accepted sections
+    and keys are exactly those read here: anything else, a number that
+    does not parse, and a boolean key not spelt true/false, yes/no,
+    on/off or 1/0 raise ``ValueError`` naming section and key.
     """
-    rc = RunConfig(seed=int(os.environ.get("AEROFORECAST_SEED") or 0))
-    if path is None:
-        return rc
+    rc = RunConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if path is not None and not parser.read(path):
         raise MarketDataError(f"config file not found: {path}")
     accepted = {}  # section -> keys read below
 
@@ -127,7 +124,10 @@ def load_config(path: str | None) -> RunConfig:
         return {f.name: get(section, f.name, type(f.default), f.default)
                 for f in dataclasses.fields(cls)}
 
-    rc.seed = get("run", "seed", int, rc.seed)
+    config_seed = get("run", "seed", int, None)
+    if seed is None:
+        seed = config_seed if config_seed is not None else _env_seed()
+    rc.seed = seed
     rc.out = get("run", "out", str, rc.out)
     rc.jobs = get("run", "jobs", int, rc.jobs)
 
@@ -174,10 +174,16 @@ def load_config(path: str | None) -> RunConfig:
     return rc
 
 
+def _env_seed() -> int:
+    raw = os.environ.get("AEROFORECAST_SEED", "").strip()
+    try:
+        return int(raw or 0)
+    except ValueError:
+        raise ValueError(f"AEROFORECAST_SEED: {raw!r} is not int") from None
+
+
 def apply_overrides(rc: RunConfig, args) -> RunConfig:
-    """Command-line flags win over the config."""
-    if args.seed is not None:
-        rc.seed = args.seed
+    """Command-line flags win over the config (--seed is applied by load_config)."""
     if args.out is not None:
         rc.out = args.out
     if args.jobs is not None:
@@ -337,10 +343,7 @@ def cmd_train(rc: RunConfig) -> int:
 
 
 def cmd_grid(rc: RunConfig) -> int:
-    bundles = []
-    for entry in rc.companies:
-        bundle, _, _, _ = build_bundle(rc, entry)
-        bundles.append(bundle)
+    bundles = [build_bundle(rc, entry)[0] for entry in rc.companies]
     template = _experiment_spec(rc, bundles[0].label, GRID_REPEATS, rc.seed)
     report = run_grid(bundles, rc.seed, cfg=rc.train, template=template, jobs=rc.jobs)
     out = _outdir(rc)
@@ -401,7 +404,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = apply_overrides(load_config(args.config), args)
+        rc = apply_overrides(load_config(args.config, args.seed), args)
         return COMMANDS[args.command](rc)
     except (MarketDataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,6 +178,16 @@ class TestConfigAndFlags:
         assert (out1 / "X" / "prices.csv").read_bytes() == \
                (out2 / "X" / "prices.csv").read_bytes()
 
+    def test_env_seed_read_only_when_it_decides(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AEROFORECAST_SEED", "abc")
+        cfg = write_config(tmp_path, tmp_path / "c")
+        assert main(["synth", "--out", str(tmp_path / "f"), "--company", "X",
+                     "--seed", "3"]) == 0
+        assert main(["synth", "--config", cfg]) == 0
+        assert main(["synth", "--out", str(tmp_path / "e"), "--company", "X"]) == 2
+        assert "error: AEROFORECAST_SEED: 'abc' is not int" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_company_flag_must_be_configured(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "o", extra="\n[company:ACME2]\n")
         assert main(["features", "--config", cfg, "--company", "ACNE"]) == 2
