@@ -5,6 +5,16 @@ splits; the full grid enumerates 108 cells per company (216 for two).
 Every random choice flows from the cell's base seed: repeat r uses
 ``base_seed + r``, from which split and weight-init sub-seeds are
 derived with stable labels, so any repeat can be reproduced alone.
+
+The repeats of a cell train in lockstep (``trainers.train_repeats``),
+their parameters stacked on a leading (R, P) axis, and each repeat gets
+the bytes it gets alone, so :func:`run_repeat` is the one-repeat case of
+the same code.  The model inputs are fitted once per set of fitting
+rows: once per cell with ``pca_scope="full"`` (or a blocked split),
+per repeat otherwise.  A repeat's
+``seconds``, and so a cell's ``avg_runtime_seconds``, is the cell's
+lockstep training wall time divided by its repeats; :func:`run_repeat`
+times one repeat alone.
 """
 
 from __future__ import annotations
@@ -17,11 +27,13 @@ import numpy as np
 from .fundamentals import RATIO_NAMES
 from .indicators import TECHNICAL_COLUMNS
 from .market_data import AlignedDataset, write_csv
-from .pca import fit_pca, transform
+from .pca import SCALE_MODES, fit_pca, transform
 from .rnn import (SequenceDataset, build_supervised, forward, init_rnn,
                   loss_mse, rescale_output)
 from .seeding import derive_seed
-from .trainers import TrainConfig, train
+# ``train`` is unused here but stays importable as ``experiments.train``,
+# where perfbench's traced mode wraps it.
+from .trainers import TrainConfig, train, train_repeats  # noqa: F401
 
 FEATURE_SETS = ("fundamental", "technical", "mixed")
 GRID_ALGORITHMS = ("lm", "br", "scg")
@@ -72,6 +84,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.delay < 1 or self.n_hidden < 1 or self.repeats < 1:
             raise ValueError("delay, n_hidden, and repeats must be positive")
+        if self.pca_scale_mode not in SCALE_MODES:
+            raise ValueError(f"unknown pca scale_mode {self.pca_scale_mode!r}")
         if self.pca_scope not in ("full", "train"):
             raise ValueError(f"unknown pca_scope {self.pca_scope!r}")
         if self.split_mode not in ("random", "blocked"):
@@ -179,41 +193,63 @@ class RepeatArtifacts:
     test_mse: float
 
 
-def run_repeat(spec: ExperimentSpec, bundle: CompanyBundle, seed: int,
-               cfg: TrainConfig) -> RepeatArtifacts:
-    """One seeded split/fit/train/evaluate pass.
-
-    The network is trained against internally standardized targets (the
-    optimizer conditioning depends on output weights staying O(1)); all
-    reported quantities, including the training curves, are mapped back
-    to natural price units.
-    """
-    features = bundle.features_for(spec.feature_set)
-    target = bundle.aligned.target
-    n_pairs = len(target) - spec.delay
-    if spec.split_mode == "random":
-        train_idx, val_idx, test_idx = split_70_15_15(
-            n_pairs, derive_seed(seed, "split"))
-    else:
-        train_idx, val_idx, test_idx = split_blocked(n_pairs)
-
-    fit_rows = np.sort(train_idx) if spec.pca_scope == "train" else None
+def _model_inputs(spec: ExperimentSpec, features, target, fit_rows=None):
+    """(dataset, y_mean, y_scale), fitted on ``fit_rows`` (None: all rows):
+    standardized targets keep the output weights O(1) for the optimizer."""
     inputs = prepare_inputs(spec, features, fit_rows)
     labels = target[spec.delay:]
     stats = labels if fit_rows is None else labels[fit_rows]
     y_mean = float(stats.mean())
     y_scale = float(stats.std()) or 1.0
-    data = build_supervised(inputs, (target - y_mean) / y_scale, tau=spec.delay)
+    return build_supervised(inputs, (target - y_mean) / y_scale, tau=spec.delay), y_mean, y_scale
 
-    model0 = init_rnn(inputs.shape[1], spec.n_hidden, spec.delay,
-                      seed=derive_seed(seed, "init"))
-    cfg = replace(cfg, algorithm=spec.algorithm)
-    trained, record = train(model0, data, train_idx, val_idx, cfg)
+
+def _run_repeats(spec: ExperimentSpec, bundle: CompanyBundle, seeds,
+                 cfg: TrainConfig) -> list:
+    """One seeded split/fit/train/evaluate pass per seed, trained in
+    lockstep; a RepeatArtifacts, or the exception raised, per seed."""
+    features = bundle.features_for(spec.feature_set)
+    target = bundle.aligned.target
+    n_pairs = len(target) - spec.delay
+    outcomes, jobs, fitted = {}, [], {}  # model inputs by the rows they are fitted on
+    for seed in seeds:
+        try:
+            if spec.split_mode == "random":
+                split = split_70_15_15(n_pairs, derive_seed(seed, "split"))
+            else:
+                split = split_blocked(n_pairs)
+            fit_rows = np.sort(split[0]) if spec.pca_scope == "train" else None
+            key = None if fit_rows is None else fit_rows.tobytes()
+            if key not in fitted:
+                fitted[key] = _model_inputs(spec, features, target, fit_rows)
+            inputs = fitted[key]
+            model0 = init_rnn(inputs[0].inputs.shape[1], spec.n_hidden, spec.delay,
+                              seed=derive_seed(seed, "init"))
+        except Exception as exc:  # noqa: BLE001 - the other repeats carry on
+            outcomes[seed] = exc
+        else:
+            jobs.append((seed, split, inputs, model0))
+    trained = train_repeats([job[3] for job in jobs], [job[2][0] for job in jobs],
+                            [job[1][0] for job in jobs], [job[1][1] for job in jobs],
+                            replace(cfg, algorithm=spec.algorithm)) if jobs else []
+    for (seed, split, inputs, _), outcome in zip(jobs, trained):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            outcomes[seed] = _evaluate(spec, bundle, seed, split[2], inputs, *outcome)
+        except Exception as exc:  # noqa: BLE001 - the other repeats carry on
+            outcomes[seed] = exc
+    return [outcomes[seed] for seed in seeds]
+
+
+def _evaluate(spec, bundle, seed, test_idx, inputs, trained, record) -> RepeatArtifacts:
+    """Map a trained repeat back to price units and score its test rows."""
+    data, y_mean, y_scale = inputs
     trained = rescale_output(trained, y_scale, y_mean)
     record.train_mse = [v * y_scale * y_scale for v in record.train_mse]
     record.val_mse = [v * y_scale * y_scale for v in record.val_mse]
 
-    natural = SequenceDataset(inputs=data.inputs, targets=labels.copy())
+    natural = SequenceDataset(inputs=data.inputs, targets=bundle.aligned.target[spec.delay:])
     preds = forward(trained, natural)
     test_mse = loss_mse(preds[test_idx], natural.targets[test_idx])
     result = RepeatResult(
@@ -228,6 +264,17 @@ def run_repeat(spec: ExperimentSpec, bundle: CompanyBundle, seed: int,
             for t in sorted(int(i) for i in test_idx)]
     return RepeatArtifacts(result=result, prediction_rows=rows, model=trained,
                            record=record, test_mse=test_mse)
+
+
+def run_repeat(spec: ExperimentSpec, bundle: CompanyBundle, seed: int,
+               cfg: TrainConfig) -> RepeatArtifacts:
+    """One seeded split/fit/train/evaluate pass (the one-repeat case of a
+    cell); all reported quantities, training curves included, are in
+    price units."""
+    (outcome,) = _run_repeats(spec, bundle, [seed], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
@@ -246,12 +293,11 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
         )
     result = ExperimentResult(spec=spec)
     best_mse = np.inf
-    for r in range(spec.repeats):
-        seed = spec.base_seed + r
-        try:
-            artifacts = run_repeat(spec, bundle, seed, cfg)
-        except Exception as exc:  # noqa: BLE001 - cell stays usable
-            result.repeats.append(RepeatResult(seed=seed, error=f"{type(exc).__name__}: {exc}"))
+    seeds = [spec.base_seed + r for r in range(spec.repeats)]
+    for seed, artifacts in zip(seeds, _run_repeats(spec, bundle, seeds, cfg)):
+        if isinstance(artifacts, Exception):
+            result.repeats.append(RepeatResult(
+                seed=seed, error=f"{type(artifacts).__name__}: {artifacts}"))
             continue
         result.repeats.append(artifacts.result)
         if artifacts.test_mse < best_mse:

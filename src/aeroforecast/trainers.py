@@ -5,14 +5,14 @@ LM and BR share one damped Gauss-Newton core that minimizes
 F = beta*SSE + alpha*|theta|^2: LM holds (alpha, beta) at (0, 1), and
 BR re-estimates them from the evidence after every accepted step.
 
-Each trainer has a generic core operating on callables (residuals and
-Jacobian for the least-squares methods, objective and gradient for SCG)
-plus a wrapper that trains an :class:`~aeroforecast.rnn.RnnModel` whose
-errors are summed over a train-index subset of the full sequence.  The
-wrappers take those callables from one :class:`RnnObjective`, which
-caches the forward states at the last parameter vector so that the
-Jacobian and gradient reuse the forward pass the residuals or objective
-already ran at the same point.
+Each core is a generator that yields requests ``(kind, theta)`` (the
+residuals, Jacobian, objective, gradient or validation MSE at theta) and
+is sent the answers.  The callable API (:func:`lm_least_squares`,
+:func:`br_least_squares`, :func:`scg_minimize`) answers them with the
+functions it is given; :func:`train_repeats` trains one
+:class:`~aeroforecast.rnn.RnnModel` per repeat, errors summed over the
+repeat's train-index subset, and answers all repeats' requests with
+stacked kernel calls, through one caching :class:`RnnObjective` each.
 
 A run stops with ``stop_reason`` "converged" (gradient norm below
 ``grad_tol``, or a zero SCG search direction), "damping_overflow" (no
@@ -29,16 +29,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 # ``forward`` is unused here but stays importable as ``trainers.forward``,
 # where perfbench's traced mode wraps the forward pass.
 from .rnn import (RnnModel, SequenceDataset, forward, forward_states,  # noqa: F401
-                  gradient_sse, loss_mse, prediction_jacobian)
+                  gradient_sse, loss_mse, prediction_jacobian, state_error)
 
 ALGORITHMS = ("lm", "br", "scg")
+# Bytes of P x P Gauss-Newton matrices that the LM or BR repeats
+# advancing together may hold between requests.
+GAUSS_NEWTON_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -96,19 +99,22 @@ class _EpochLog:
         self._best_score = math.inf
         self._streak = 0
 
-    def log(self, train_mse: float, theta: np.ndarray) -> bool:
-        """Record one epoch; True when the validation patience trips."""
+    def log(self, train_mse: float, theta: np.ndarray, val=None) -> bool:
+        """Record one epoch; True when the validation patience trips.
+        ``val`` (else ``val_fn(theta)``; neither: no validation set) is
+        the validation MSE at theta."""
         rec = self.record
-        val = self.val_fn(theta) if self.val_fn is not None else math.nan
+        if val is None and self.val_fn is not None:
+            val = self.val_fn(theta)
         rec.train_mse.append(float(train_mse))
-        rec.val_mse.append(float(val))
+        rec.val_mse.append(math.nan if val is None else float(val))
         rec.total_epochs += 1
-        score = val if self.val_fn is not None else train_mse
+        score = train_mse if val is None else val
         if rec.best_theta is None or score < self._best_score:
             self._best_score = score
             rec.best_epoch = rec.total_epochs
             rec.best_theta = np.array(theta, dtype=float)
-        if self.val_fn is None or self.patience is None:
+        if val is None or self.patience is None:
             return False
         if rec.total_epochs >= 2 and rec.val_mse[-1] > rec.val_mse[-2]:
             self._streak += 1
@@ -117,12 +123,26 @@ class _EpochLog:
         return self._streak >= self.patience
 
 
+def _drive(core, **answers):
+    """Run a trainer core to its end, answering each request with the
+    callable named by its kind; the record's ``seconds`` is the wall time."""
+    started = time.perf_counter()
+    try:
+        kind, theta = next(core)
+        while True:
+            kind, theta = core.send(answers[kind](theta))
+    except StopIteration as done:
+        theta, rec = done.value
+    rec.seconds = time.perf_counter() - started
+    return theta, rec
+
+
 def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                      val_fn=None) -> tuple[np.ndarray, TrainRecord]:
     """Levenberg-Marquardt on 0.5-free SSE: solve (J'J + mu I) d = -J'e,
     the damped Gauss-Newton core with (alpha, beta) held at (0, 1)."""
-    return _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
-                                bayesian=False)
+    return _drive(_damped_gauss_newton(theta0, cfg, False, val_fn is not None),
+                  residuals=residual_fn, jacobian=jacobian_fn, val=val_fn)
 
 
 def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
@@ -131,43 +151,58 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     (alpha, beta) = (0, 1), re-estimated by :func:`_evidence_update` after
     every accepted step with N = ``n_samples`` (default: the residual
     count).  Validation stops training only with ``cfg.br_val_stop``."""
-    return _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
-                                bayesian=True, n_samples=n_samples)
+    return _drive(_damped_gauss_newton(theta0, cfg, True, val_fn is not None, n_samples),
+                  residuals=residual_fn, jacobian=jacobian_fn, val=val_fn)
 
 
-def _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
-                         bayesian, n_samples=None):
+def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
+                 val_fn=None) -> tuple[np.ndarray, TrainRecord]:
+    """Moller's scaled conjugate gradient on a full-batch objective (see
+    :func:`_scaled_conjugate_gradient`)."""
+    return _drive(_scaled_conjugate_gradient(theta0, cfg, val_fn is not None),
+                  objective=objective_fn, gradient=gradient_fn, val=val_fn)
+
+
+def _plus_diagonal(A, c):
+    """A + c I, without forming I."""
+    out = A.copy()
+    out[np.diag_indices_from(out)] += c
+    return out
+
+
+def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
     """Minimize F = beta*SSE + alpha*|theta|^2 with damped Gauss-Newton
     steps: solve (beta J'J + (alpha + mu) I) d = -(beta J'e + alpha theta).
 
     A step is accepted only if it strictly decreases F (mu shrinks);
     otherwise mu grows and the step is retried within the same epoch.
     With ``bayesian``, (alpha, beta) are re-estimated at the top of the
-    epoch after each accepted step, before that epoch is logged."""
+    epoch after each accepted step, before that epoch is logged.
+    Between requests the core holds J'J, not J."""
     theta = np.array(theta0, dtype=float)
     alpha, beta = 0.0, 1.0
     mu = cfg.mu0
-    log = _EpochLog(val_fn, cfg.val_patience if cfg.br_val_stop or not bayesian else None)
+    log = _EpochLog(None, cfg.val_patience if cfg.br_val_stop or not bayesian else None)
     rec = log.record
-    eye = np.eye(theta.size)
     reestimate = False
-    started = time.perf_counter()
     while rec.total_epochs < cfg.max_epochs:
-        r = residual_fn(theta)
+        r = yield "residuals", theta
         if not np.all(np.isfinite(r)):
             raise FloatingPointError(
                 f"non-finite residuals during {'BR' if bayesian else 'LM'} training")
         sse = float(r @ r)
-        J = jacobian_fn(theta)
-        A = J.T @ J
+        J = yield "jacobian", theta
+        A, Jr = J.T @ J, J.T @ r
+        del J
         if reestimate:
             n = n_samples if n_samples is not None else len(r)
-            alpha, beta = _evidence_update(A, eye, theta, sse, n, alpha, beta, mu, rec)
+            alpha, beta = _evidence_update(A, theta, sse, n, alpha, beta, mu, rec)
             reestimate = False
-        if log.log(sse / len(r), theta):
+        val = (yield "val", theta) if has_val else None
+        if log.log(sse / len(r), theta, val):
             rec.stop_reason = "val_patience"
             break
-        g = beta * (J.T @ r) + alpha * theta  # half the gradient of F
+        g = beta * Jr + alpha * theta  # half the gradient of F
         if np.linalg.norm(2.0 * g) < cfg.grad_tol:
             rec.stop_reason = "converged"
             break
@@ -175,12 +210,12 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
         f_cur = beta * sse + alpha * float(theta @ theta)
         while mu <= cfg.mu_max:
             try:
-                delta = np.linalg.solve(A + (alpha + mu) * eye, -g)
+                delta = np.linalg.solve(_plus_diagonal(A, alpha + mu), -g)
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
             trial = theta + delta
-            r_trial = residual_fn(trial)
+            r_trial = yield "residuals", trial
             f_trial = beta * float(r_trial @ r_trial) + alpha * float(trial @ trial)
             if np.isfinite(f_trial) and f_trial < f_cur:
                 theta = trial
@@ -193,21 +228,21 @@ def _damped_gauss_newton(residual_fn, jacobian_fn, theta0, cfg, val_fn,
             rec.stop_reason = "damping_overflow"  # no improving step
             rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
             break
-    rec.seconds = time.perf_counter() - started
     return rec.best_theta.copy(), rec
 
 
-def _evidence_update(A, eye, theta, sse, n, alpha, beta, mu, rec):
+def _evidence_update(A, theta, sse, n, alpha, beta, mu, rec):
     """MacKay's re-estimation: gamma = P - 2 alpha tr(H^-1), H = 2 beta J'J
     + 2 alpha I, clamped into [0, P] and appended to ``rec.gammas``; returns
     alpha = gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE), both
     floored at 1e-12.  An ill-conditioned H gets LM damping."""
     n_params = theta.size
-    H = 2.0 * beta * A + 2.0 * alpha * eye
+    H = 2.0 * beta * A
+    H[np.diag_indices_from(H)] += 2.0 * alpha
     try:
         trace_inv = float(np.trace(np.linalg.inv(H)))
     except np.linalg.LinAlgError:
-        trace_inv = float(np.trace(np.linalg.inv(H + mu * eye)))
+        trace_inv = float(np.trace(np.linalg.inv(_plus_diagonal(H, mu))))
         rec.notes.append("damped ill-conditioned Hessian in evidence update")
     gamma = n_params - 2.0 * alpha * trace_inv
     if gamma < 0.0 or gamma > n_params:
@@ -220,8 +255,7 @@ def _evidence_update(A, eye, theta, sse, n, alpha, beta, mu, rec):
     return alpha, beta
 
 
-def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
-                 val_fn=None) -> tuple[np.ndarray, TrainRecord]:
+def _scaled_conjugate_gradient(theta0, cfg, has_val):
     """Moller's scaled conjugate gradient on a full-batch objective.
 
     Curvature along the search direction comes from a one-sided
@@ -234,17 +268,17 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
     n_params = theta.size
     lam = cfg.scg_lambda0
     lam_bar = 0.0
-    r = -gradient_fn(theta)  # negative gradient
+    r = -(yield "gradient", theta)  # negative gradient
     p = r.copy()
     success = True
-    f_cur = float(objective_fn(theta))
+    f_cur = float((yield "objective", theta))
     delta = p_norm2 = 1.0  # overwritten on the first success pass
     k = 0
-    log = _EpochLog(val_fn, cfg.val_patience)
+    log = _EpochLog(None, cfg.val_patience)
     rec = log.record
-    started = time.perf_counter()
     while rec.total_epochs < cfg.max_epochs:
-        if log.log(f_cur, theta):
+        val = (yield "val", theta) if has_val else None
+        if log.log(f_cur, theta, val):
             rec.stop_reason = "val_patience"
             break
         if np.linalg.norm(r) < cfg.grad_tol:
@@ -260,7 +294,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
                 rec.stop_reason = "converged"
                 break
             sigma_k = cfg.scg_sigma / math.sqrt(p_norm2)
-            s = (gradient_fn(theta + sigma_k * p) - (-r)) / sigma_k
+            s = ((yield "gradient", theta + sigma_k * p) - (-r)) / sigma_k
             delta = float(p @ s)
         delta += (lam - lam_bar) * p_norm2
         if delta <= 0.0:  # make the Hessian estimate positive definite
@@ -269,7 +303,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
             lam = lam_bar
         mu_k = float(p @ r)
         alpha_k = mu_k / delta
-        f_trial = float(objective_fn(theta + alpha_k * p))
+        f_trial = float((yield "objective", theta + alpha_k * p))
         comparison = 2.0 * delta * (f_cur - f_trial) / (mu_k * mu_k)
         if not np.isfinite(comparison):
             comparison = -1.0  # hopeless step; grow lambda and retry
@@ -277,7 +311,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
             theta = theta + alpha_k * p
             rec.step_deltas.append(f_trial - f_cur)
             f_cur = f_trial
-            r_new = -gradient_fn(theta)
+            r_new = -(yield "gradient", theta)
             lam_bar = 0.0
             success = True
             k += 1
@@ -294,7 +328,6 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
             success = False
         if comparison < 0.25:
             lam += delta * (1.0 - comparison) / p_norm2
-    rec.seconds = time.perf_counter() - started
     return rec.best_theta.copy(), rec
 
 
@@ -305,14 +338,13 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
 
 
 class RnnObjective:
-    """The callables the trainer cores need, for one model and sequence.
+    """The answers a trainer core needs, for one model and sequence.
 
-    Keeps a one-slot cache of the forward states ``(H, preds)`` at the
-    last parameter vector evaluated, keyed by its bytes.  Residuals,
-    training and validation MSE, the Jacobian and the gradient at that
-    point all reuse it: the LM/BR Jacobian is taken at the point whose
-    residuals were just computed, and SCG's gradient at an accepted
-    point follows the objective evaluation there.
+    Caches the forward states ``(H, preds)`` (or the FloatingPointError
+    they raised) at the last parameter vector evaluated, keyed by its
+    bytes, and the gradient there once formed; every answer at that
+    point reuses them.  :func:`train_repeats` fills the caches of many
+    objectives with stacked kernel calls.
     """
 
     def __init__(self, model: RnnModel, data: SequenceDataset, train_idx, val_idx):
@@ -322,19 +354,29 @@ class RnnObjective:
         self.data = data
         self.train_idx = np.asarray(train_idx, dtype=int)
         self.val_idx = np.asarray(val_idx if val_idx is not None else [], dtype=int)
-        self._key = None
-        self._states = None
+        self.remember(None, None)
 
     @property
     def val_fn(self):
         """``val_mse``, or None without a validation set."""
         return self.val_mse if len(self.val_idx) else None
 
+    def knows(self, theta) -> bool:
+        return theta.tobytes() == self._key
+
+    def remember(self, theta, states, gradient=None):
+        self._key = None if theta is None else theta.tobytes()
+        self._states, self._gradient = states, gradient
+
     def states(self, theta):
-        key = theta.tobytes()
-        if key != self._key:
-            self._states = forward_states(self.model.with_params(theta), self.data)
-            self._key = key
+        if not self.knows(theta):
+            try:
+                states = forward_states(self.model.with_params(theta), self.data)
+            except FloatingPointError as exc:
+                states = exc
+            self.remember(theta, states)
+        if isinstance(self._states, FloatingPointError):
+            raise self._states
         return self._states
 
     def residuals(self, theta):
@@ -360,35 +402,117 @@ class RnnObjective:
 
     def gradient(self, theta):
         """Gradient of ``train_mse``."""
-        return gradient_sse(self.model.with_params(theta), self.data, self.train_idx,
-                            states=self.states(theta)) / len(self.train_idx)
+        states = self.states(theta)
+        if self._gradient is None:
+            self._gradient = gradient_sse(self.model.with_params(theta), self.data,
+                                          self.train_idx, states=states) / len(self.train_idx)
+        return self._gradient
 
 
-def train_lm(model, data, train_idx, val_idx, cfg: TrainConfig):
-    obj = RnnObjective(model, data, train_idx, val_idx)
-    theta, rec = lm_least_squares(obj.residuals, obj.jacobian,
-                                  model.params_to_vector(), cfg, obj.val_fn)
-    return model.with_params(theta), rec
+# The RnnObjective method that answers each request kind.
+_ANSWERS = {"residuals": RnnObjective.residuals, "jacobian": RnnObjective.jacobian,
+            "objective": RnnObjective.train_mse, "gradient": RnnObjective.gradient,
+            "val": RnnObjective.val_mse}
 
 
-def train_br(model, data, train_idx, val_idx, cfg: TrainConfig):
-    obj = RnnObjective(model, data, train_idx, val_idx)
-    theta, rec = br_least_squares(obj.residuals, obj.jacobian,
-                                  model.params_to_vector(), cfg, obj.val_fn,
-                                  n_samples=len(obj.train_idx))
-    return model.with_params(theta), rec
+def train_repeats(models, datasets, train_idxs, val_idxs, cfg: TrainConfig) -> list:
+    """Train one model per repeat (same shape, equally many training
+    rows), all repeats advancing in lockstep with their own cores.
+
+    Every round takes one request from each live repeat; one stacked
+    forward pass and one stacked gradient serve all that need them, and
+    Jacobians (n x P each) are formed one at a time.  SCG repeats all
+    advance together, LM and BR repeats in groups whose J'J matrices fit
+    ``GAUSS_NEWTON_BYTES``.  Returns per repeat the bytes it gets alone,
+    (trained model, TrainRecord), or the exception it raised while the
+    others carried on; ``seconds`` is the wall time over the repeats.
+    """
+    started = time.perf_counter()
+    objectives = [RnnObjective(*args) for args in zip(models, datasets, train_idxs, val_idxs)]
+    together = len(objectives) if cfg.algorithm == "scg" else \
+        max(1, GAUSS_NEWTON_BYTES // (8 * models[0].n_params ** 2))
+    outcomes = [outcome for start in range(0, len(objectives), together)
+                for outcome in _lockstep(objectives[start:start + together], cfg)]
+    seconds = (time.perf_counter() - started) / len(objectives)
+    for outcome in outcomes:
+        if not isinstance(outcome, Exception):
+            outcome[1].seconds = seconds
+    return outcomes
 
 
-def train_scg(model, data, train_idx, val_idx, cfg: TrainConfig):
-    obj = RnnObjective(model, data, train_idx, val_idx)
-    theta, rec = scg_minimize(obj.train_mse, obj.gradient,
-                              model.params_to_vector(), cfg, obj.val_fn)
-    return model.with_params(theta), rec
+def _lockstep(objectives, cfg):
+    """(trained model, record), or the raised exception, per objective;
+    answers are sent one repeat at a time, so no two Jacobians coexist."""
+    cores = [_scaled_conjugate_gradient(obj.model.params_to_vector(), cfg, len(obj.val_idx) > 0)
+             if cfg.algorithm == "scg" else
+             _damped_gauss_newton(obj.model.params_to_vector(), cfg, cfg.algorithm == "br",
+                                  len(obj.val_idx) > 0, len(obj.train_idx))
+             for obj in objectives]
+    outcomes = [None] * len(cores)
+    requests = {i: next(core) for i, core in enumerate(cores)}
+    while requests:
+        _prefetch(objectives, requests)
+        for i, (kind, theta) in list(requests.items()):
+            try:
+                requests[i] = cores[i].send(_ANSWERS[kind](objectives[i], theta))
+            except StopIteration as done:
+                theta, rec = done.value
+                outcomes[i] = (objectives[i].model.with_params(theta), rec)
+                del requests[i]
+            except Exception as exc:  # noqa: BLE001 - the other repeats carry on
+                outcomes[i] = exc
+                del requests[i]
+    return outcomes
 
 
-_TRAINERS = {"lm": train_lm, "br": train_br, "scg": train_scg}
+def _prefetch(objectives, requests):
+    """Fill the caches this round's requests read: the forward states of
+    every repeat whose point is new (a non-finite point is left to the
+    objective, which reports it) and the gradients asked for, each kind
+    in one stacked call."""
+    todo = {i: theta for i, (_, theta) in requests.items()
+            if not objectives[i].knows(theta) and np.isfinite(theta).all()}
+    if todo:
+        H, preds = forward_states(*_together(objectives, todo), check=False)
+        for (i, theta), H_r, preds_r in zip(todo.items(), H, preds):
+            objectives[i].remember(theta, state_error(H_r, preds_r) or (H_r.copy(), preds_r))
+    todo = {i: theta for i, (kind, theta) in requests.items() if kind == "gradient"
+            and objectives[i].knows(theta) and isinstance(objectives[i]._states, tuple)}
+    if todo:
+        model, data = _together(objectives, todo)
+        states = tuple(np.stack(parts) for parts in zip(*(objectives[i]._states for i in todo)))
+        rows = np.stack([objectives[i].train_idx for i in todo])
+        for (i, theta), grad in zip(todo.items(), gradient_sse(model, data, rows, states)):
+            obj = objectives[i]
+            obj.remember(theta, obj._states, grad / len(obj.train_idx))
+
+
+def _together(objectives, thetas: dict):
+    """One stacked model and dataset for the objectives ``thetas`` indexes."""
+    objs = [objectives[i] for i in thetas]
+    model = objs[0].model.with_params(np.stack(list(thetas.values())))
+    data = objs[0].data
+    if any(obj.data is not data for obj in objs):
+        data = SequenceDataset(np.stack([obj.data.inputs for obj in objs]),
+                               np.stack([obj.data.targets for obj in objs]))
+    return model, data
 
 
 def train(model, data, train_idx, val_idx, cfg: TrainConfig):
-    """Dispatch on ``cfg.algorithm``."""
-    return _TRAINERS[cfg.algorithm](model, data, train_idx, val_idx, cfg)
+    """Train one model: the one-repeat case of :func:`train_repeats`."""
+    (outcome,) = train_repeats([model], [data], [train_idx], [val_idx], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def train_lm(model, data, train_idx, val_idx, cfg: TrainConfig):
+    return train(model, data, train_idx, val_idx, replace(cfg, algorithm="lm"))
+
+
+def train_br(model, data, train_idx, val_idx, cfg: TrainConfig):
+    return train(model, data, train_idx, val_idx, replace(cfg, algorithm="br"))
+
+
+def train_scg(model, data, train_idx, val_idx, cfg: TrainConfig):
+    return train(model, data, train_idx, val_idx, replace(cfg, algorithm="scg"))

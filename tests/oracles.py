@@ -524,6 +524,242 @@ def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
 
 
 # ---------------------------------------------------------------------------
+# The recurrent kernels and SCG as they were before every repeat of a
+# cell trained in lockstep: one parameter set per call, one time loop per
+# call.  ``train_alone`` trains one repeat through them and the loops
+# above, the reference for ``trainers.train_repeats``: same records, same
+# weights, same errors.
+# ---------------------------------------------------------------------------
+
+_ACT = {"tanh": np.tanh, "identity": lambda x: x}
+_DERIV = {"tanh": lambda v: 1.0 - v * v, "identity": lambda v: np.ones_like(v)}
+
+
+def forward_states(model, dataset):
+    """Hidden states (N x h) and predictions (N,) of one parameter set."""
+    if dataset.inputs.shape[1] != model.n_input:
+        raise ValueError(
+            f"dataset has {dataset.inputs.shape[1]} features, model wants {model.n_input}")
+    f_h = _ACT[model.hidden_activation]
+    f_y = _ACT[model.output_activation]
+    N = dataset.inputs.shape[0]
+    pre = dataset.inputs @ model.U.T + model.b_h
+    H = np.empty((N, model.n_hidden))
+    h = np.zeros(model.n_hidden)
+    for t in range(N):
+        h = f_h(pre[t] + model.W @ h)
+        H[t] = h
+    preds = f_y(H @ model.V + model.b_y)
+    bad = ~np.isfinite(preds)
+    if bad.any():
+        t = int(np.argmax(bad | ~np.isfinite(H).all(axis=1)))
+        raise FloatingPointError(f"non-finite network state at time index {t}")
+    return H, preds
+
+
+def gradient_sse(model, dataset, index_subset=None, states=None):
+    """Subset-SSE gradient by BPTT; weight sums formed after the loop in
+    the order the recursion produced their terms."""
+    H, preds = forward_states(model, dataset) if states is None else states
+    N, h = H.shape
+    dy = np.zeros(N)
+    idx = np.arange(N) if index_subset is None else np.asarray(index_subset)
+    dy[idx] = 2.0 * (preds[idx] - dataset.targets[idx])
+    dy *= _DERIV[model.output_activation](preds)
+    D = _DERIV[model.hidden_activation](H)
+    direct = np.outer(dy, model.V)
+    DA = np.empty((N, h))
+    WT = model.W.T
+    da = np.zeros(h)
+    for t in range(N - 1, -1, -1):
+        da = np.multiply(direct[t] + WT @ da, D[t], out=DA[t])
+    back = DA[::-1]
+    dU = _sum_in_order(back[:, :, None] * dataset.inputs[::-1, None, :])
+    dW = _sum_in_order(back[:-1, :, None] * H[-2::-1, None, :])
+    dV = H.T @ dy
+    return np.concatenate([dU.ravel(), dW.ravel(), dV, _sum_in_order(back),
+                           [dy.sum()]])
+
+
+def _sum_in_order(terms):
+    if len(terms) == 0:
+        return np.zeros(terms.shape[1:])
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def prediction_jacobian(model, dataset, index_subset=None, states=None):
+    """Rows d pred_i / d theta by forward sensitivity propagation, the
+    loop carrying the pre-activation sensitivity in neuron-major columns."""
+    H, preds = forward_states(model, dataset) if states is None else states
+    N, h = H.shape
+    j = model.n_input
+    m = j + h + 1
+    hm = h * m
+    JS = np.empty((N, hm + h + 1))
+    D = _DERIV[model.hidden_activation](H)
+    R = np.empty((N, m))
+    R[:, :j] = dataset.inputs
+    R[0, j:j + h] = 0.0
+    R[1:, j:j + h] = H[:-1]
+    R[:, -1] = 1.0
+    WD = np.empty((N, h, h))
+    WD[0] = 0.0
+    np.multiply(model.W, D[:-1, None, :], out=WD[1:])
+    VD = model.V * D
+    G_prev, G = np.zeros((h, hm)), np.empty((h, hm))
+    blocks_prev, blocks = (np.lib.stride_tricks.as_strided(
+        buf, shape=(h, m), strides=((hm + m) * buf.itemsize, buf.itemsize))
+        for buf in (G_prev, G))
+    for t in range(N):
+        np.dot(WD[t], G_prev, out=G)
+        blocks += R[t]
+        np.dot(VD[t], G, out=JS[t, :hm])
+        G_prev, G = G, G_prev
+        blocks_prev, blocks = blocks, blocks_prev
+    JS[:, hm:hm + h] = H
+    JS[:, -1] = 1.0
+    neuron = np.arange(h)[:, None]
+    column = np.concatenate([(neuron * m + np.arange(j)).ravel(),
+                             (neuron * m + j + np.arange(h)).ravel(),
+                             hm + np.arange(h),
+                             np.arange(h) * m + j + h,
+                             [hm + h]])
+    rows = np.arange(N) if index_subset is None else np.asarray(index_subset)
+    J = JS[np.ix_(rows, column)]
+    if model.output_activation != "identity":
+        J *= _DERIV[model.output_activation](preds[rows])[:, None]
+    return J
+
+
+def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
+                 val_fn=None) -> tuple[np.ndarray, TrainRecord]:
+    """Moller's scaled conjugate gradient as one loop over callables."""
+    theta = np.array(theta0, dtype=float)
+    n_params = theta.size
+    lam = cfg.scg_lambda0
+    lam_bar = 0.0
+    r = -gradient_fn(theta)
+    p = r.copy()
+    success = True
+    f_cur = float(objective_fn(theta))
+    delta = p_norm2 = 1.0
+    k = 0
+    log = _EpochLog(val_fn, cfg.val_patience)
+    rec = log.record
+    started = time.perf_counter()
+    while rec.total_epochs < cfg.max_epochs:
+        if log.log(f_cur, theta):
+            rec.stop_reason = "val_patience"
+            break
+        if np.linalg.norm(r) < cfg.grad_tol:
+            rec.stop_reason = "converged"
+            break
+        if lam > 1e20:
+            rec.stop_reason = "damping_overflow"
+            rec.notes.append("lambda overflow; no improving step found")
+            break
+        if success:
+            p_norm2 = float(p @ p)
+            if p_norm2 == 0.0:
+                rec.stop_reason = "converged"
+                break
+            sigma_k = cfg.scg_sigma / math.sqrt(p_norm2)
+            s = (gradient_fn(theta + sigma_k * p) - (-r)) / sigma_k
+            delta = float(p @ s)
+        delta += (lam - lam_bar) * p_norm2
+        if delta <= 0.0:
+            lam_bar = 2.0 * (lam - delta / p_norm2)
+            delta = -delta + lam * p_norm2
+            lam = lam_bar
+        mu_k = float(p @ r)
+        alpha_k = mu_k / delta
+        f_trial = float(objective_fn(theta + alpha_k * p))
+        comparison = 2.0 * delta * (f_cur - f_trial) / (mu_k * mu_k)
+        if not np.isfinite(comparison):
+            comparison = -1.0
+        if comparison >= 0.0:
+            theta = theta + alpha_k * p
+            rec.step_deltas.append(f_trial - f_cur)
+            f_cur = f_trial
+            r_new = -gradient_fn(theta)
+            lam_bar = 0.0
+            success = True
+            k += 1
+            if k % n_params == 0:
+                p = r_new.copy()
+            else:
+                beta_k = (float(r_new @ r_new) - float(r_new @ r)) / mu_k
+                p = r_new + beta_k * p
+            r = r_new
+            if comparison >= 0.75:
+                lam *= 0.25
+        else:
+            lam_bar = lam
+            success = False
+        if comparison < 0.25:
+            lam += delta * (1.0 - comparison) / p_norm2
+    rec.seconds = time.perf_counter() - started
+    return rec.best_theta.copy(), rec
+
+
+class LoopObjective:
+    """Residuals, MSEs, Jacobian and gradient of one repeat from the loops
+    above, each call evaluating afresh."""
+
+    def __init__(self, model, data, train_idx, val_idx):
+        self.model, self.data = model, data
+        self.train_idx = np.asarray(train_idx, dtype=int)
+        self.val_idx = np.asarray(val_idx, dtype=int)
+        self.val_fn = self.val_mse if len(self.val_idx) else None
+
+    def states(self, theta):
+        return forward_states(self.model.with_params(theta), self.data)
+
+    def residuals(self, theta):
+        try:
+            preds = self.states(theta)[1]
+        except FloatingPointError:
+            return np.full(len(self.train_idx), np.inf)
+        return preds[self.train_idx] - self.data.targets[self.train_idx]
+
+    def train_mse(self, theta):
+        r = self.residuals(theta)
+        return float(r @ r / r.size)
+
+    def val_mse(self, theta):
+        preds = self.states(theta)[1]
+        diff = preds[self.val_idx] - self.data.targets[self.val_idx]
+        return float(diff @ diff / diff.size)
+
+    def jacobian(self, theta):
+        return prediction_jacobian(self.model.with_params(theta), self.data,
+                                   self.train_idx, states=self.states(theta))
+
+    def gradient(self, theta):
+        return gradient_sse(self.model.with_params(theta), self.data, self.train_idx,
+                            states=self.states(theta)) / len(self.train_idx)
+
+
+def train_alone(model, data, train_idx, val_idx, cfg: TrainConfig):
+    """One repeat trained on its own: (trained model, record), or the
+    exception the training raised."""
+    obj = LoopObjective(model, data, train_idx, val_idx)
+    theta0 = model.params_to_vector()
+    try:
+        if cfg.algorithm == "scg":
+            theta, rec = scg_minimize(obj.train_mse, obj.gradient, theta0, cfg, obj.val_fn)
+        elif cfg.algorithm == "lm":
+            theta, rec = lm_least_squares(obj.residuals, obj.jacobian, theta0, cfg,
+                                          obj.val_fn)
+        else:
+            theta, rec = br_least_squares(obj.residuals, obj.jacobian, theta0, cfg,
+                                          obj.val_fn, n_samples=len(obj.train_idx))
+    except Exception as exc:  # noqa: BLE001 - compared with the engine's outcome
+        return exc
+    return model.with_params(theta), rec
+
+
+# ---------------------------------------------------------------------------
 # Report writers as each module wrote them before they shared
 # ``market_data.write_csv``, kept as the reference for byte-identical
 # output.  The three CLI files were written inline by the commands; their

@@ -323,6 +323,19 @@ class TestOneSpecPath:
         assert main(["train", "--config", cfg]) == 0
         assert [self.settings(spec) for spec in seen] == [self.WANT]
 
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_unknown_scale_mode_rejected_before_any_repeat(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(experiments, "_run_cell", lambda args: ran.append(args))
+        monkeypatch.setattr(cli, "run_repeat", lambda *args: ran.append(args))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, out, extra="\n[pca]\nscale_mode = zscore\n")
+        assert main([command, "--config", cfg]) == 2
+        assert "scale_mode 'zscore'" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pca", "grid"])
     def test_pca_k_none_rejected_where_components_are_needed(self, tmp_path, capsys,
                                                               command):

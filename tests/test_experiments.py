@@ -6,6 +6,7 @@ from aeroforecast.experiments import (CompanyBundle, ExperimentSpec,
                                       GridReport, cell_name, grid_specs,
                                       run_experiment, split_70_15_15,
                                       split_blocked)
+from aeroforecast.pca import fit_pca
 from aeroforecast.trainers import TrainConfig
 from helpers import make_bundle
 
@@ -77,6 +78,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="algorithm"):
             small_spec(algorithm="adam")
 
+    def test_unknown_pca_scale_mode(self):
+        with pytest.raises(ValueError, match="scale_mode 'zscore'"):
+            small_spec(pca_scale_mode="zscore")
+
 
 class TestRunExperiment:
     def test_single_repeat_equals_its_average(self, bundle):
@@ -118,22 +123,41 @@ class TestRunExperiment:
         assert res.n_failed == 0
 
     def test_repeat_failure_marks_cell_partial(self, bundle, monkeypatch):
+        # The repeats train together, so the failure is injected where each
+        # repeat gets its own initial model.
         calls = {"n": 0}
-        original = exp.train
+        original = exp.init_rnn
 
-        def flaky(model, data, train_idx, val_idx, cfg):
+        def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("injected failure")
-            return original(model, data, train_idx, val_idx, cfg)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(exp, "train", flaky)
+        monkeypatch.setattr(exp, "init_rnn", flaky)
         res = run_experiment(small_spec(repeats=3), bundle, FAST)
         assert res.n_failed == 1
         assert res.partial
         assert "injected failure" in res.repeats[1].error
         ok = [r for r in res.repeats if r.error is None]
         assert res.avg_test_mse == pytest.approx(np.mean([r.test_mse for r in ok]))
+
+    @pytest.mark.parametrize("pca_scope,split_mode,fits", [("full", "random", 1),
+                                                           ("train", "random", 3),
+                                                           ("train", "blocked", 1)])
+    def test_pca_fitted_once_per_set_of_fitting_rows(self, bundle, monkeypatch, pca_scope,
+                                                     split_mode, fits):
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return fit_pca(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "fit_pca", counting_fit)
+        res = run_experiment(small_spec(repeats=3, pca_scope=pca_scope, split_mode=split_mode),
+                             bundle, FAST)
+        assert res.n_failed == 0
+        assert len(calls) == fits
 
     def test_too_short_series_rejected(self, bundle):
         spec = small_spec(delay=len(bundle.aligned.target) - 5)
