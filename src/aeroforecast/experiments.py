@@ -75,7 +75,6 @@ class ExperimentSpec:
     pca_scope: str = "full"  # "full" (paper default) or "train"
     standardize_inputs: bool = True
     split_mode: str = "random"  # or "blocked" contiguous time blocks
-    grid_mode: bool = False
 
     def __post_init__(self):
         if self.feature_set not in FEATURE_SETS:
@@ -90,15 +89,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown pca_scope {self.pca_scope!r}")
         if self.split_mode not in ("random", "blocked"):
             raise ValueError(f"unknown split_mode {self.split_mode!r}")
-        if self.grid_mode:
-            if self.n_hidden not in GRID_NEURONS:
-                raise ValueError(f"grid n_hidden must be one of {GRID_NEURONS}")
-            if self.delay not in GRID_DELAYS:
-                raise ValueError(f"grid delay must be one of {GRID_DELAYS}")
-            if self.repeats != GRID_REPEATS:
-                raise ValueError(f"grid repeats must be {GRID_REPEATS}")
-            if self.pca_k not in (2, 3):
-                raise ValueError("grid pca_k must be 2 or 3")
 
 
 @dataclass(frozen=True)
@@ -325,10 +315,12 @@ def grid_specs(company_labels, master_seed: int,
                template: ExperimentSpec = GRID_TEMPLATE):
     """The documented cell enumeration: company, then algorithm, feature
     set, hidden neurons, delay (innermost).  Every other field comes
-    from ``template``."""
+    from ``template``, whose ``pca_k`` must be 2 or 3, as in the paper."""
+    if template.pca_k not in (2, 3):
+        raise ValueError("grid pca_k must be 2 or 3")
     return [replace(template, company_label=label, algorithm=algorithm,
                     feature_set=feature_set, n_hidden=n_hidden, delay=delay,
-                    repeats=GRID_REPEATS, grid_mode=True,
+                    repeats=GRID_REPEATS,
                     base_seed=derive_seed(master_seed, "grid", label, algorithm,
                                           feature_set, n_hidden, delay))
             for label in company_labels
@@ -368,18 +360,12 @@ class GridReport:
             "delay": lambda s: s.delay,
         }[dimension]
         groups: dict = {}
-        order = []
         for res in self.results:
             if not np.isfinite(res.avg_test_mse):
                 continue
-            key = (res.spec.company_label, key_fn(res.spec))
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(res)
+            groups.setdefault((res.spec.company_label, key_fn(res.spec)), []).append(res)
         rows = []
-        for key in order:
-            cells = groups[key]
+        for key, cells in groups.items():
             rows.append((
                 key[0], key[1],
                 float(np.mean([c.avg_total_epochs for c in cells])),

@@ -84,8 +84,9 @@ def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = 
 
     ebit, tax = cur("ebit"), cur("tax_rate")
     roic_num = ebit * (1.0 - tax) if ebit is not None and tax is not None else None
-    roic_den = _sum_fields(cur, ("interest_bearing_liabilities", "equity"),
-                           minus=("cash_equivalents",))
+    ibl, equity = cur("interest_bearing_liabilities"), cur("equity")
+    cash = cur("cash_equivalents")
+    roic_den = 0.0 + ibl + equity - cash if None not in (ibl, equity, cash) else None
 
     def growth(name):
         now, then = cur(name), ago(name)
@@ -124,21 +125,6 @@ def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = 
     return out
 
 
-def _sum_fields(get, plus, minus=()):
-    total = 0.0
-    for name in plus:
-        v = get(name)
-        if v is None:
-            return None
-        total += v
-    for name in minus:
-        v = get(name)
-        if v is None:
-            return None
-        total -= v
-    return total
-
-
 def ratios_from_report(report: QuarterlyReport,
                        market_price: float | None = None,
                        year_ago: QuarterlyReport | None = None) -> FundamentalRatios:
@@ -157,7 +143,7 @@ def ratios_from_report(report: QuarterlyReport,
 YEAR_AGO_TOLERANCE_DAYS = 45
 
 
-def quarterly_ratio_matrix(reports, bars=None):
+def quarterly_ratio_matrix(reports, bars):
     """(quarter dates, n_quarters x 13 matrix) of ratio features.
 
     Year-ago lookups pair each report with the one whose quarter end is
@@ -168,7 +154,7 @@ def quarterly_ratio_matrix(reports, bars=None):
     Both lookups bisect over dates, which must increase, as the loaders
     guarantee.
     """
-    dates = [b.date for b in bars] if bars else []
+    dates = [b.date for b in bars]
     q_dates = [r.quarter_end for r in reports]
 
     def price_at(day):

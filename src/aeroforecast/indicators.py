@@ -285,7 +285,7 @@ def compute_technical_matrix(bars, cfg: IndicatorConfig = IndicatorConfig()) -> 
     _check_length(len(bars), cfg.min_length, "compute_technical_matrix")
     closes = np.array([b.close for b in bars], dtype=float)
     volume = np.array([b.volume for b in bars], dtype=float)
-    sma, _, _ = moving_averages(closes, cfg)
+    sma = _sma(closes, cfg.sma_window)
     bb_width, percent_b = bollinger_features(closes, cfg)
     macd_line, macd_signal = macd_features(closes, cfg)
     plus_dmi, minus_dmi, adx = dmi_adx(bars, cfg)

@@ -263,9 +263,6 @@ class SyntheticSpec:
     drift: float = 0.0002
     volatility: float = 0.01
     quarterly_pattern: str = "trend"  # flat | trend | seasonal
-    start_date: dt.date = dt.date(2013, 7, 1)
-    start_price: float = 100.0
-    base_volume: float = 1.0e6
 
     def __post_init__(self):
         if self.n_days < 60:
@@ -314,6 +311,9 @@ _BASE_STATEMENT = {
 # Fields that scale with the pattern; rates and share counts stay put.
 _SCALED_FIELDS = tuple(k for k in _BASE_STATEMENT if k not in ("tax_rate", "total_equity_shares"))
 
+SYNTHETIC_START = dt.date(2013, 7, 1)
+SYNTHETIC_START_PRICE = 100.0
+SYNTHETIC_BASE_VOLUME = 1.0e6
 QUARTER_TRADING_DAYS = 63
 PRE_SERIES_QUARTERS = 4  # history needed by year-over-year growth ratios
 
@@ -322,10 +322,10 @@ def generate_synthetic(spec: SyntheticSpec):
     """Generate (bars, quarterly reports), deterministic for a fixed seed."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_days
-    days = _trading_days(spec.start_date, n)
+    days = _trading_days(SYNTHETIC_START, n)
 
     steps = spec.drift + spec.volatility * rng.standard_normal(n - 1)
-    closes = spec.start_price * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    closes = SYNTHETIC_START_PRICE * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
 
     # Intraday range scales with volatility; zero volatility collapses
     # the bar to a single price so the degenerate-walk invariants hold.
@@ -339,7 +339,7 @@ def generate_synthetic(spec: SyntheticSpec):
         open_ = float(closes[t - 1]) if t > 0 else close
         high = max(open_, close) * (1.0 + float(hi_ext[t]))
         low = min(open_, close) * (1.0 - float(lo_ext[t]))
-        volume = spec.base_volume * math.exp(spec.volatility * 5.0 * float(vol_noise[t]))
+        volume = SYNTHETIC_BASE_VOLUME * math.exp(spec.volatility * 5.0 * float(vol_noise[t]))
         bar = PriceBar(days[t], open_, high, low, close, round(volume, 2))
         bar.validate()
         bars.append(bar)

@@ -4,13 +4,14 @@ derivatives.
 The network is a single-hidden-layer recurrent net with shared weights:
 
     h_t = f_h(U x_t + W h_{t-1} + b_h),   h_{-1} = 0
-    y_t = f_y(V . h_t + b_y)
+    y_t = V . h_t + b_y
 
-where the training label for step t is the close price ``tau`` trading
-days later.  Gradients are exact (full, untruncated backpropagation
-through time); the per-sample Jacobian is computed by forward sensitivity
-propagation, which yields the same exact values through an independent
-recursion and so cross-checks the reverse-mode gradient.
+with a linear output, where the training label for step t is the close
+price ``tau`` trading days later.  Gradients are exact (full, untruncated
+backpropagation through time); the per-sample Jacobian is computed by
+forward sensitivity propagation, which yields the same exact values
+through an independent recursion and so cross-checks the reverse-mode
+gradient.
 
 Parameter vector layout (used by the trainers and both derivative
 routines): U row-major, then W row-major, then V, then b_h, then b_y.
@@ -39,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import AlignedDataset
-
 _ACTIVATIONS = {
     "tanh": np.tanh,
     "identity": np.positive,  # a copy with the same bits, so ``out=`` works
@@ -64,14 +63,12 @@ class RnnModel:
     b_h: np.ndarray  # (n_hidden,)
     b_y: float
     hidden_activation: str = "tanh"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         if self.delay_tau < 1:
             raise ValueError(f"delay_tau must be >= 1, got {self.delay_tau}")
-        for name in (self.hidden_activation, self.output_activation):
-            if name not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {name!r}")
+        if self.hidden_activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.hidden_activation!r}")
         lead = np.shape(self.b_y)  # (R,) when stacked
         shapes = {
             "U": lead + (self.n_hidden, self.n_input),
@@ -128,8 +125,7 @@ class RnnModel:
 
 
 def init_rnn(n_input: int, n_hidden: int, delay_tau: int, seed: int,
-             hidden_activation: str = "tanh",
-             output_activation: str = "identity") -> RnnModel:
+             hidden_activation: str = "tanh") -> RnnModel:
     """Seeded initial model: weights uniform in [-0.5, 0.5]/sqrt(fan-in),
     biases zero."""
     rng = np.random.default_rng(seed)
@@ -147,7 +143,6 @@ def init_rnn(n_input: int, n_hidden: int, delay_tau: int, seed: int,
         b_h=np.zeros(n_hidden),
         b_y=0.0,
         hidden_activation=hidden_activation,
-        output_activation=output_activation,
     )
 
 
@@ -169,24 +164,16 @@ class SequenceDataset:
         return self.inputs.shape[-2]
 
 
-def build_supervised(features, target=None, tau: int = 1) -> SequenceDataset:
-    """Pair feature row t with the target tau rows later.
-
-    ``features`` may be an :class:`AlignedDataset` (its close-price
-    target is used) or a plain matrix with an explicit ``target``
-    series.  A series of length T yields exactly T - tau pairs.
+def build_supervised(features, target, tau: int = 1) -> SequenceDataset:
+    """Pair row t of the ``features`` matrix with the ``target`` value
+    tau rows later.  A series of length T yields exactly T - tau pairs.
 
     tau counts aligned samples, not trading days, as in the paper: where
     cleaning deleted a mid-series day, a label lies tau + 1 trading days
     ahead of its features (tau + k across k deleted days).
     """
-    if isinstance(features, AlignedDataset):
-        matrix, series = features.features, features.target
-    else:
-        matrix = np.asarray(features, dtype=float)
-        if target is None:
-            raise ValueError("target series required when features is a matrix")
-        series = np.asarray(target, dtype=float)
+    matrix = np.asarray(features, dtype=float)
+    series = np.asarray(target, dtype=float)
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     T = matrix.shape[0]
@@ -236,7 +223,6 @@ def forward_states(model: RnnModel, dataset: SequenceDataset, check: bool = True
             f"dataset has {dataset.inputs.shape[-1]} features, model wants {model.n_input}"
         )
     f_h = _ACTIVATIONS[model.hidden_activation]
-    f_y = _ACTIVATIONS[model.output_activation]
     U, W, V, b_h, b_y = _sets(model, model.U, model.W, model.V, model.b_h, model.b_y)
     R, N, h = U.shape[0], len(dataset), model.n_hidden
     pre = np.matmul(dataset.inputs, U.transpose(0, 2, 1))  # (R, N, h)
@@ -251,7 +237,7 @@ def forward_states(model: RnnModel, dataset: SequenceDataset, check: bool = True
         a = product(W, h_prev, out=steps[t])
         a += pre[t]
         h_prev = f_h(a, out=a)
-    preds = f_y(np.matmul(H, V[:, :, None])[..., 0] + b_y[:, None])
+    preds = np.matmul(H, V[:, :, None])[..., 0] + b_y[:, None]
     if check:
         for error in map(state_error, H, preds):
             if error is not None:
@@ -300,7 +286,6 @@ def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None,
     idx = _rows(index_subset, R, N)
     dy = np.zeros((R, N))
     dy[sets, idx] = 2.0 * (preds[sets, idx] - targets[sets, idx])
-    dy *= _DERIV_FROM_VALUE[model.output_activation](preds)
 
     # DA holds f_h'(a_t) until step t overwrites it with da_t.
     DA = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (R, N, h)
@@ -368,8 +353,8 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
     ``forward_states(model, dataset)`` when the caller has it.  Stacked,
     the result is (R, n, P).
     """
-    H, preds = forward_states(model, dataset) if states is None else states
-    H, preds = _sets(model, H, preds)
+    H, _ = forward_states(model, dataset) if states is None else states
+    (H,) = _sets(model, H)
     R, N, h = H.shape
     j = model.n_input
     m = j + h + 1
@@ -390,8 +375,6 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
     sets = np.arange(R)[:, None]
     rows = _rows(index_subset, R, N)
     J = JS[sets[:, :, None], rows[:, :, None], column]
-    if model.output_activation != "identity":
-        J *= _DERIV_FROM_VALUE[model.output_activation](preds[sets, rows])[:, :, None]
     return _unstack(model, J)
 
 
@@ -439,11 +422,9 @@ def _sensitivity_rows(model: RnnModel, X: np.ndarray, H: np.ndarray, out: np.nda
 def rescale_output(model: RnnModel, scale: float, offset: float) -> RnnModel:
     """Fold an affine output mapping y -> y*scale + offset into V and b_y.
 
-    Exact for the identity output activation; used to return models in
-    natural target units after training against standardized targets.
+    Exact for the linear output; used to return models in natural
+    target units after training against standardized targets.
     """
-    if model.output_activation != "identity":
-        raise ValueError("output rescaling requires the identity output activation")
     return dataclasses.replace(model, V=model.V * scale,
                                b_y=model.b_y * scale + offset)
 
@@ -459,7 +440,7 @@ def save_model(path, model: RnnModel) -> None:
         "n_hidden": model.n_hidden,
         "delay_tau": model.delay_tau,
         "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        "output_activation": "identity",
         "U": model.U.tolist(),
         "W": model.W.tolist(),
         "V": model.V.tolist(),
@@ -476,6 +457,9 @@ def load_model(path) -> RnnModel:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: unknown model format {doc.get('format')!r}")
+    if doc.get("output_activation") != "identity":
+        raise ValueError(f"{path}: output_activation {doc.get('output_activation')!r} "
+                         "is not 'identity', the only output the model has")
     return RnnModel(
         n_input=int(doc["n_input"]),
         n_hidden=int(doc["n_hidden"]),
@@ -486,5 +470,4 @@ def load_model(path) -> RnnModel:
         b_h=np.array(doc["b_h"], dtype=float),
         b_y=float(doc["b_y"]),
         hidden_activation=doc["hidden_activation"],
-        output_activation=doc["output_activation"],
     )

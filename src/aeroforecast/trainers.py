@@ -5,14 +5,15 @@ LM and BR share one damped Gauss-Newton core that minimizes
 F = beta*SSE + alpha*|theta|^2: LM holds (alpha, beta) at (0, 1), and
 BR re-estimates them from the evidence after every accepted step.
 
-Each core is a generator that yields requests ``(kind, theta)`` (the
-residuals, Jacobian, objective, gradient or validation MSE at theta) and
-is sent the answers.  The callable API (:func:`lm_least_squares`,
-:func:`br_least_squares`, :func:`scg_minimize`) answers them with the
-functions it is given; :func:`train_repeats` trains one
-:class:`~aeroforecast.rnn.RnnModel` per repeat, errors summed over the
-repeat's train-index subset, and answers all repeats' requests with
-stacked kernel calls, through one caching :class:`RnnObjective` each.
+Each core is a generator that yields requests ``(kind, theta)`` and is
+sent the answers; ``kind`` names the :class:`RnnObjective` method that
+answers it (residuals, jacobian, train_mse, gradient or val_mse).  The
+callable API (:func:`lm_least_squares`, :func:`br_least_squares`,
+:func:`scg_minimize`) answers them with the functions it is given;
+:func:`train_repeats` trains one :class:`~aeroforecast.rnn.RnnModel` per
+repeat, errors summed over the repeat's train-index subset, and answers
+all repeats' requests with stacked kernel calls, through one caching
+:class:`RnnObjective` each.
 
 A run stops with ``stop_reason`` "converged" (gradient norm below
 ``grad_tol``, or a zero SCG search direction), "damping_overflow" (no
@@ -92,8 +93,7 @@ class TrainRecord:
 class _EpochLog:
     """Per-epoch bookkeeping: curves, best snapshot, patience counter."""
 
-    def __init__(self, val_fn, patience):
-        self.val_fn = val_fn
+    def __init__(self, patience):
         self.patience = patience
         self.record = TrainRecord()
         self._best_score = math.inf
@@ -101,11 +101,8 @@ class _EpochLog:
 
     def log(self, train_mse: float, theta: np.ndarray, val=None) -> bool:
         """Record one epoch; True when the validation patience trips.
-        ``val`` (else ``val_fn(theta)``; neither: no validation set) is
-        the validation MSE at theta."""
+        ``val`` is the validation MSE at theta (None: no validation set)."""
         rec = self.record
-        if val is None and self.val_fn is not None:
-            val = self.val_fn(theta)
         rec.train_mse.append(float(train_mse))
         rec.val_mse.append(math.nan if val is None else float(val))
         rec.total_epochs += 1
@@ -142,7 +139,7 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     """Levenberg-Marquardt on 0.5-free SSE: solve (J'J + mu I) d = -J'e,
     the damped Gauss-Newton core with (alpha, beta) held at (0, 1)."""
     return _drive(_damped_gauss_newton(theta0, cfg, False, val_fn is not None),
-                  residuals=residual_fn, jacobian=jacobian_fn, val=val_fn)
+                  residuals=residual_fn, jacobian=jacobian_fn, val_mse=val_fn)
 
 
 def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
@@ -152,7 +149,7 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     every accepted step with N = ``n_samples`` (default: the residual
     count).  Validation stops training only with ``cfg.br_val_stop``."""
     return _drive(_damped_gauss_newton(theta0, cfg, True, val_fn is not None, n_samples),
-                  residuals=residual_fn, jacobian=jacobian_fn, val=val_fn)
+                  residuals=residual_fn, jacobian=jacobian_fn, val_mse=val_fn)
 
 
 def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
@@ -160,7 +157,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
     """Moller's scaled conjugate gradient on a full-batch objective (see
     :func:`_scaled_conjugate_gradient`)."""
     return _drive(_scaled_conjugate_gradient(theta0, cfg, val_fn is not None),
-                  objective=objective_fn, gradient=gradient_fn, val=val_fn)
+                  train_mse=objective_fn, gradient=gradient_fn, val_mse=val_fn)
 
 
 def _plus_diagonal(A, c):
@@ -182,7 +179,7 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
     theta = np.array(theta0, dtype=float)
     alpha, beta = 0.0, 1.0
     mu = cfg.mu0
-    log = _EpochLog(None, cfg.val_patience if cfg.br_val_stop or not bayesian else None)
+    log = _EpochLog(cfg.val_patience if cfg.br_val_stop or not bayesian else None)
     rec = log.record
     reestimate = False
     while rec.total_epochs < cfg.max_epochs:
@@ -198,7 +195,7 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
             n = n_samples if n_samples is not None else len(r)
             alpha, beta = _evidence_update(A, theta, sse, n, alpha, beta, mu, rec)
             reestimate = False
-        val = (yield "val", theta) if has_val else None
+        val = (yield "val_mse", theta) if has_val else None
         if log.log(sse / len(r), theta, val):
             rec.stop_reason = "val_patience"
             break
@@ -271,13 +268,13 @@ def _scaled_conjugate_gradient(theta0, cfg, has_val):
     r = -(yield "gradient", theta)  # negative gradient
     p = r.copy()
     success = True
-    f_cur = float((yield "objective", theta))
+    f_cur = float((yield "train_mse", theta))
     delta = p_norm2 = 1.0  # overwritten on the first success pass
     k = 0
-    log = _EpochLog(None, cfg.val_patience)
+    log = _EpochLog(cfg.val_patience)
     rec = log.record
     while rec.total_epochs < cfg.max_epochs:
-        val = (yield "val", theta) if has_val else None
+        val = (yield "val_mse", theta) if has_val else None
         if log.log(f_cur, theta, val):
             rec.stop_reason = "val_patience"
             break
@@ -303,7 +300,7 @@ def _scaled_conjugate_gradient(theta0, cfg, has_val):
             lam = lam_bar
         mu_k = float(p @ r)
         alpha_k = mu_k / delta
-        f_trial = float((yield "objective", theta + alpha_k * p))
+        f_trial = float((yield "train_mse", theta + alpha_k * p))
         comparison = 2.0 * delta * (f_cur - f_trial) / (mu_k * mu_k)
         if not np.isfinite(comparison):
             comparison = -1.0  # hopeless step; grow lambda and retry
@@ -409,12 +406,6 @@ class RnnObjective:
         return self._gradient
 
 
-# The RnnObjective method that answers each request kind.
-_ANSWERS = {"residuals": RnnObjective.residuals, "jacobian": RnnObjective.jacobian,
-            "objective": RnnObjective.train_mse, "gradient": RnnObjective.gradient,
-            "val": RnnObjective.val_mse}
-
-
 def train_repeats(models, datasets, train_idxs, val_idxs, cfg: TrainConfig) -> list:
     """Train one model per repeat (same shape, equally many training
     rows), all repeats advancing in lockstep with their own cores.
@@ -446,7 +437,7 @@ def _lockstep(objectives, cfg):
     cores = [_scaled_conjugate_gradient(obj.model.params_to_vector(), cfg, len(obj.val_idx) > 0)
              if cfg.algorithm == "scg" else
              _damped_gauss_newton(obj.model.params_to_vector(), cfg, cfg.algorithm == "br",
-                                  len(obj.val_idx) > 0, len(obj.train_idx))
+                                  len(obj.val_idx) > 0)
              for obj in objectives]
     outcomes = [None] * len(cores)
     requests = {i: next(core) for i, core in enumerate(cores)}
@@ -454,7 +445,7 @@ def _lockstep(objectives, cfg):
         _prefetch(objectives, requests)
         for i, (kind, theta) in list(requests.items()):
             try:
-                requests[i] = cores[i].send(_ANSWERS[kind](objectives[i], theta))
+                requests[i] = cores[i].send(getattr(objectives[i], kind)(theta))
             except StopIteration as done:
                 theta, rec = done.value
                 outcomes[i] = (objectives[i].model.with_params(theta), rec)

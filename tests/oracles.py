@@ -393,7 +393,7 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     """
     theta = np.array(theta0, dtype=float)
     mu = cfg.mu0
-    log = _EpochLog(val_fn, cfg.val_patience)
+    log = _EpochLog(cfg.val_patience)
     rec = log.record
     started = time.perf_counter()
     while rec.total_epochs < cfg.max_epochs:
@@ -401,7 +401,7 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
         if not np.all(np.isfinite(r)):
             raise FloatingPointError("non-finite residuals during LM training")
         sse = float(r @ r)
-        if log.log(sse / len(r), theta):
+        if log.log(sse / len(r), theta, val_fn(theta) if val_fn else None):
             rec.stop_reason = "val_patience"
             break
         J = jacobian_fn(theta)
@@ -451,7 +451,7 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     alpha, beta = 0.0, 1.0
     mu = cfg.mu0
     patience = cfg.val_patience if cfg.br_val_stop else None
-    log = _EpochLog(val_fn, patience)
+    log = _EpochLog(patience)
     rec = log.record
     reestimate = False
     started = time.perf_counter()
@@ -468,7 +468,7 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
             alpha, beta, gamma = _evidence_update(
                 A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
             reestimate = False
-        if log.log(sse / len(r), theta):
+        if log.log(sse / len(r), theta, val_fn(theta) if val_fn else None):
             rec.stop_reason = "val_patience"
             break
         grad = 2.0 * (beta * (J.T @ r) + alpha * theta)
@@ -541,7 +541,6 @@ def forward_states(model, dataset):
         raise ValueError(
             f"dataset has {dataset.inputs.shape[1]} features, model wants {model.n_input}")
     f_h = _ACT[model.hidden_activation]
-    f_y = _ACT[model.output_activation]
     N = dataset.inputs.shape[0]
     pre = dataset.inputs @ model.U.T + model.b_h
     H = np.empty((N, model.n_hidden))
@@ -549,7 +548,7 @@ def forward_states(model, dataset):
     for t in range(N):
         h = f_h(pre[t] + model.W @ h)
         H[t] = h
-    preds = f_y(H @ model.V + model.b_y)
+    preds = H @ model.V + model.b_y
     bad = ~np.isfinite(preds)
     if bad.any():
         t = int(np.argmax(bad | ~np.isfinite(H).all(axis=1)))
@@ -565,7 +564,6 @@ def gradient_sse(model, dataset, index_subset=None, states=None):
     dy = np.zeros(N)
     idx = np.arange(N) if index_subset is None else np.asarray(index_subset)
     dy[idx] = 2.0 * (preds[idx] - dataset.targets[idx])
-    dy *= _DERIV[model.output_activation](preds)
     D = _DERIV[model.hidden_activation](H)
     direct = np.outer(dy, model.V)
     DA = np.empty((N, h))
@@ -590,7 +588,7 @@ def _sum_in_order(terms):
 def prediction_jacobian(model, dataset, index_subset=None, states=None):
     """Rows d pred_i / d theta by forward sensitivity propagation, the
     loop carrying the pre-activation sensitivity in neuron-major columns."""
-    H, preds = forward_states(model, dataset) if states is None else states
+    H, _ = forward_states(model, dataset) if states is None else states
     N, h = H.shape
     j = model.n_input
     m = j + h + 1
@@ -625,10 +623,7 @@ def prediction_jacobian(model, dataset, index_subset=None, states=None):
                              np.arange(h) * m + j + h,
                              [hm + h]])
     rows = np.arange(N) if index_subset is None else np.asarray(index_subset)
-    J = JS[np.ix_(rows, column)]
-    if model.output_activation != "identity":
-        J *= _DERIV[model.output_activation](preds[rows])[:, None]
-    return J
+    return JS[np.ix_(rows, column)]
 
 
 def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
@@ -644,11 +639,11 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
     f_cur = float(objective_fn(theta))
     delta = p_norm2 = 1.0
     k = 0
-    log = _EpochLog(val_fn, cfg.val_patience)
+    log = _EpochLog(cfg.val_patience)
     rec = log.record
     started = time.perf_counter()
     while rec.total_epochs < cfg.max_epochs:
-        if log.log(f_cur, theta):
+        if log.log(f_cur, theta, val_fn(theta) if val_fn else None):
             rec.stop_reason = "val_patience"
             break
         if np.linalg.norm(r) < cfg.grad_tol:

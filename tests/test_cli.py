@@ -336,6 +336,17 @@ class TestOneSpecPath:
         assert ran == []
         assert not out.exists()
 
+    def test_grid_pca_k_outside_the_paper_rejected_before_any_repeat(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "_run_repeats", lambda *args: ran.append(args))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, out, extra="\n[pca]\nk = 4\n")
+        assert main(["grid", "--config", cfg]) == 2
+        assert "grid pca_k must be 2 or 3" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pca", "grid"])
     def test_pca_k_none_rejected_where_components_are_needed(self, tmp_path, capsys,
                                                               command):

@@ -60,14 +60,6 @@ class TestSplit:
 
 
 class TestSpecValidation:
-    def test_grid_mode_domains(self):
-        with pytest.raises(ValueError, match="n_hidden"):
-            small_spec(n_hidden=7, repeats=10, grid_mode=True)
-        with pytest.raises(ValueError, match="delay"):
-            small_spec(delay=4, n_hidden=5, repeats=10, grid_mode=True)
-        with pytest.raises(ValueError, match="repeats"):
-            small_spec(n_hidden=5, repeats=3, grid_mode=True)
-
     def test_free_values_in_adhoc_mode(self):
         spec = small_spec(n_hidden=7, delay=4)
         assert spec.n_hidden == 7

@@ -11,7 +11,7 @@ from aeroforecast.rnn import (RnnModel, SequenceDataset, build_supervised,
                               load_model,
                               loss_mse, prediction_jacobian, rescale_output,
                               save_model)
-from helpers import make_random_bars, technical_aligned
+from helpers import make_random_bars
 
 
 def random_dataset(seed, T, n_input):
@@ -46,12 +46,6 @@ class TestBuildSupervised:
         with pytest.raises(ValueError, match="tau"):
             build_supervised(np.ones((5, 1)), np.ones(5), tau=5)
 
-    def test_accepts_aligned_dataset(self):
-        aligned = technical_aligned(make_random_bars(3, n=80))
-        data = build_supervised(aligned, tau=5)
-        assert len(data) == len(aligned.dates) - 5
-        assert data.targets[0] == aligned.target[5]
-
     def test_tau_counts_aligned_rows_across_a_deleted_day(self):
         # A zero-range bar leaves 1-day %K and WR undefined, so cleaning
         # deletes that day; the pairs straddling it lie tau + 1 days apart.
@@ -65,7 +59,7 @@ class TestBuildSupervised:
         kept = [i for i, b in enumerate(bars) if b.date in aligned.dates]
         assert gap not in kept
         assert kept == [i for i in range(kept[0], 80) if i != gap]
-        data = build_supervised(aligned, tau=tau)
+        data = build_supervised(aligned.features, aligned.target, tau=tau)
         assert len(data) == len(kept) - tau
         assert np.array_equal(data.inputs, aligned.features[:-tau])
         for i in range(len(data)):
@@ -370,4 +364,12 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="format"):
+            load_model(path)
+
+    def test_output_other_than_linear_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, init_rnn(3, 5, 2, seed=61))
+        path.write_text(path.read_text().replace('"output_activation": "identity"',
+                                                  '"output_activation": "tanh"'))
+        with pytest.raises(ValueError, match="output_activation 'tanh'"):
             load_model(path)

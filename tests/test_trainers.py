@@ -329,15 +329,15 @@ class TestRnnObjective:
 class TestEpochLog:
     def test_patience_counts_consecutive_increases(self):
         vals = iter([1.0, 0.9, 0.95, 1.0, 1.05, 1.1])
-        log = _EpochLog(lambda theta: next(vals), patience=3)
+        log = _EpochLog(patience=3)
         theta = np.zeros(2)
-        trips = [log.log(0.0, theta) for _ in range(6)]
+        trips = [log.log(0.0, theta, val=next(vals)) for _ in range(6)]
         # increases at epochs 3,4,5,6; third consecutive increase trips
         assert trips == [False, False, False, False, True, True]
         assert log.record.best_epoch == 2
 
     def test_no_patience_without_validation(self):
-        log = _EpochLog(None, patience=2)
+        log = _EpochLog(patience=2)
         theta = np.zeros(1)
         assert not any(log.log(v, theta) for v in [1.0, 2.0, 3.0, 4.0])
         assert log.record.best_epoch == 1  # lowest train MSE
