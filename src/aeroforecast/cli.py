@@ -21,14 +21,16 @@ Each INI section fills one object of the resolved :class:`RunConfig`:
                  quarterly_pattern          -> RunConfig.synthetic (SyntheticSpec)
 [indicators]     every IndicatorConfig field -> RunConfig.indicators
 [train]          every TrainConfig field     -> RunConfig.train
-                 feature_set, neurons, delay -> RunConfig
-[pca]            k (none: no PCA), scale_mode, scope -> RunConfig.pca_*
-[experiment]     standardize_inputs, split_mode -> RunConfig
+                 feature_set, neurons, delay -> RunConfig.experiment (ExperimentSpec)
+[pca]            k (none: no PCA), scale_mode, scope -> RunConfig.experiment
+[experiment]     standardize_inputs, split_mode -> RunConfig.experiment
 [company:LABEL]  prices, fundamentals (none: synthetic) -> RunConfig.companies
 
-``train`` and ``grid`` share one ExperimentSpec, built by
-:func:`_experiment_spec`; each grid cell replaces only the company, the
-four grid dimensions, the repeat count and the seed.
+The experiment's algorithm is always ``[train] algorithm`` (or --algo).
+The experiment is checked when the config loads, before any command
+starts work.  ``train`` replaces its company and seed; each grid cell
+replaces the company, the four grid dimensions, the repeat count and
+the seed.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ import numpy as np
 
 from . import fundamentals as fund
 from . import indicators as ind
-from .experiments import (GRID_REPEATS, CompanyBundle, ExperimentSpec, cell_name,
-                          run_grid, run_repeat, write_grid_results,
-                          write_marginals, write_predictions)
+from .experiments import (CompanyBundle, ExperimentSpec, cell_name, run_grid,
+                          run_repeat, write_grid_results, write_marginals,
+                          write_predictions)
 from .market_data import (MarketDataError, SyntheticSpec, clean_and_align,
                           generate_synthetic, load_prices, write_csv,
                           write_prices)
@@ -77,15 +79,10 @@ class RunConfig:
         CompanyEntry(label) for label in DEFAULT_COMPANIES])
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     indicators: ind.IndicatorConfig = field(default_factory=ind.IndicatorConfig)
-    pca_k: int | None = 3
-    pca_scale_mode: str = "center-only"
-    pca_scope: str = "full"
     train: TrainConfig = field(default_factory=TrainConfig)
-    feature_set: str = "technical"
-    neurons: int = 10
-    delay: int = 5
-    standardize_inputs: bool = True
-    split_mode: str = "random"
+    # The algorithm is train.algorithm's; the company and seed are set per run.
+    experiment: ExperimentSpec = field(default_factory=lambda: ExperimentSpec(
+        company_label="", feature_set="technical", algorithm="lm", n_hidden=10, delay=5))
 
 
 def load_config(path: str | None, seed: int | None = None) -> RunConfig:
@@ -95,7 +92,9 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
     ``AEROFORECAST_SEED`` (read only then), else 0.  The accepted sections
     and keys are exactly those read here: anything else, a number that
     does not parse, and a boolean key not spelt true/false, yes/no,
-    on/off or 1/0 raise ``ValueError`` naming section and key.
+    on/off or 1/0 raise ``ValueError`` naming section and key.  So do
+    ``jobs`` below 1 and the checks of ``TrainConfig`` and
+    ``ExperimentSpec``.
     """
     rc = RunConfig()
     parser = configparser.ConfigParser()
@@ -129,7 +128,7 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
         seed = config_seed if config_seed is not None else _env_seed()
     rc.seed = seed
     rc.out = get("run", "out", str, rc.out)
-    rc.jobs = get("run", "jobs", int, rc.jobs)
+    rc.jobs = _check_jobs(get("run", "jobs", int, rc.jobs))
 
     rc.synthetic = SyntheticSpec(
         n_days=get("synthetic", "n_days", int, rc.synthetic.n_days),
@@ -140,21 +139,23 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
     )
     rc.indicators = ind.IndicatorConfig(**fields_of("indicators", ind.IndicatorConfig))
 
-    k_raw = get("pca", "k", str, str(rc.pca_k)).lower()
-    rc.pca_k = None if k_raw in ("", "none", "0") else get("pca", "k", int, rc.pca_k)
-    rc.pca_scale_mode = get("pca", "scale_mode", str, rc.pca_scale_mode)
-    rc.pca_scope = get("pca", "scope", str, rc.pca_scope)
+    spec = rc.experiment
+    k_raw = get("pca", "k", str, str(spec.pca_k)).lower()
+    experiment = dict(
+        pca_k=None if k_raw in ("", "none", "0") else get("pca", "k", int, spec.pca_k),
+        pca_scale_mode=get("pca", "scale_mode", str, spec.pca_scale_mode),
+        pca_scope=get("pca", "scope", str, spec.pca_scope))
 
     train = fields_of("train", TrainConfig)
     train["algorithm"] = train["algorithm"].lower()
     rc.train = TrainConfig(**train)
-    rc.feature_set = get("train", "feature_set", str, rc.feature_set)
-    rc.neurons = get("train", "neurons", int, rc.neurons)
-    rc.delay = get("train", "delay", int, rc.delay)
-
-    rc.standardize_inputs = get("experiment", "standardize_inputs", bool,
-                                rc.standardize_inputs)
-    rc.split_mode = get("experiment", "split_mode", str, rc.split_mode)
+    experiment.update(
+        feature_set=get("train", "feature_set", str, spec.feature_set),
+        n_hidden=get("train", "neurons", int, spec.n_hidden),
+        delay=get("train", "delay", int, spec.delay),
+        standardize_inputs=get("experiment", "standardize_inputs", bool,
+                               spec.standardize_inputs),
+        split_mode=get("experiment", "split_mode", str, spec.split_mode))
 
     companies = [CompanyEntry(label=name.split(":", 1)[1].strip(),
                               prices=get(name, "prices", str, None) or None,
@@ -171,7 +172,14 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
         unknown = sorted(set(parser[section]) - accepted[section])
         if unknown:
             raise ValueError(f"config [{section}]: unknown key {', '.join(unknown)}")
+    rc.experiment = dataclasses.replace(spec, algorithm=rc.train.algorithm, **experiment)
     return rc
+
+
+def _check_jobs(jobs: int) -> int:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _env_seed() -> int:
@@ -187,7 +195,7 @@ def apply_overrides(rc: RunConfig, args) -> RunConfig:
     if args.out is not None:
         rc.out = args.out
     if args.jobs is not None:
-        rc.jobs = args.jobs
+        rc.jobs = _check_jobs(args.jobs)
     if args.company is not None:
         matching = [c for c in rc.companies if c.label == args.company]
         # Without [company:...] sections any label is a synthetic company.
@@ -195,14 +203,12 @@ def apply_overrides(rc: RunConfig, args) -> RunConfig:
             raise ValueError(f"--company {args.company}: the config names only "
                              + ", ".join(c.label for c in rc.companies))
         rc.companies = matching or [CompanyEntry(args.company)]
-    if getattr(args, "feature_set", None) is not None:
-        rc.feature_set = args.feature_set
-    if getattr(args, "algo", None) is not None:
+    if args.algo is not None:
         rc.train = dataclasses.replace(rc.train, algorithm=args.algo)
-    if getattr(args, "neurons", None) is not None:
-        rc.neurons = args.neurons
-    if getattr(args, "delay", None) is not None:
-        rc.delay = args.delay
+    flags = {"feature_set": args.feature_set, "n_hidden": args.neurons, "delay": args.delay}
+    rc.experiment = dataclasses.replace(
+        rc.experiment, algorithm=rc.train.algorithm,
+        **{name: value for name, value in flags.items() if value is not None})
     return rc
 
 
@@ -242,24 +248,6 @@ def _outdir(rc: RunConfig, *parts) -> str:
     path = os.path.join(rc.out, *parts)
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _experiment_spec(rc: RunConfig, label: str, repeats: int,
-                     base_seed: int) -> ExperimentSpec:
-    return ExperimentSpec(
-        company_label=label,
-        feature_set=rc.feature_set,
-        algorithm=rc.train.algorithm,
-        n_hidden=rc.neurons,
-        delay=rc.delay,
-        pca_k=rc.pca_k,
-        repeats=repeats,
-        base_seed=base_seed,
-        pca_scale_mode=rc.pca_scale_mode,
-        pca_scope=rc.pca_scope,
-        standardize_inputs=rc.standardize_inputs,
-        split_mode=rc.split_mode,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +293,20 @@ def _write_daily_fundamentals(path, dates, matrix):
 
 
 def cmd_pca(rc: RunConfig) -> int:
-    k = rc.pca_k
+    spec = rc.experiment
+    k = spec.pca_k
     if k is None:
         raise ValueError("config [pca] k: pca needs a component count, not none")
     for entry in rc.companies:
         bundle, _, _, _ = build_bundle(rc, entry)
-        features = bundle.features_for(rc.feature_set)
-        model = fit_pca(features, k, scale_mode=rc.pca_scale_mode)
+        features = bundle.features_for(spec.feature_set)
+        model = fit_pca(features, k, scale_mode=spec.pca_scale_mode)
         projected = transform(model, features)
         out = _outdir(rc, entry.label)
         write_pca_report(os.path.join(out, "pca_report.csv"), model)
         write_pca_scatter(os.path.join(out, "pca_scatter.csv"), projected)
         top = 100.0 * float(model.explained_ratio[:k].sum())
-        print(f"{entry.label}: PCA({rc.feature_set}) keeps {top:.2f}% variance "
+        print(f"{entry.label}: PCA({spec.feature_set}) keeps {top:.2f}% variance "
               f"in {k} components")
     return 0
 
@@ -325,8 +314,8 @@ def cmd_pca(rc: RunConfig) -> int:
 def cmd_train(rc: RunConfig) -> int:
     for entry in rc.companies:
         bundle, _, _, _ = build_bundle(rc, entry)
-        spec = _experiment_spec(rc, entry.label, repeats=1,
-                                base_seed=derive_seed(rc.seed, "train", entry.label))
+        spec = dataclasses.replace(rc.experiment, company_label=entry.label, repeats=1,
+                                   base_seed=derive_seed(rc.seed, "train", entry.label))
         artifacts = run_repeat(spec, bundle, spec.base_seed, rc.train)
         out = _outdir(rc, entry.label)
         save_model(os.path.join(out, "model.json"), artifacts.model)
@@ -344,8 +333,7 @@ def cmd_train(rc: RunConfig) -> int:
 
 def cmd_grid(rc: RunConfig) -> int:
     bundles = [build_bundle(rc, entry)[0] for entry in rc.companies]
-    template = _experiment_spec(rc, bundles[0].label, GRID_REPEATS, rc.seed)
-    report = run_grid(bundles, rc.seed, cfg=rc.train, template=template, jobs=rc.jobs)
+    report = run_grid(bundles, rc.seed, cfg=rc.train, template=rc.experiment, jobs=rc.jobs)
     out = _outdir(rc)
     write_grid_results(os.path.join(out, "grid_results.csv"), report)
     write_marginals(out, report)

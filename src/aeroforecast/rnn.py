@@ -18,8 +18,10 @@ routines): U row-major, then W row-major, then V, then b_h, then b_y.
 
 Stacked parameters: a model whose arrays carry a leading axis of length
 R (U (R, h, j), ..., b_y (R,)) holds R parameter sets; ``with_params``
-builds one from (R, P) parameter vectors.  The recurrent routines step
-all R sets through one time loop, and one set is the R = 1 case.  Inputs
+builds one from (R, P) parameter vectors.  ``forward_states`` and
+``gradient_sse`` step all R sets through one time loop, and one set is
+the R = 1 case.  Jacobians are formed one parameter set at a time: a
+stack would hold R times their work arrays and results.  Inputs
 are shared ((N, j), (N,)) or per set ((R, N, j), (R, N)), a row subset
 shared (n,) or per set (R, n).  Every product is the same BLAS call on
 the same operands as for one set and every sum keeps its order, so each
@@ -333,7 +335,8 @@ def _outer_sum_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
                         index_subset=None, states=None) -> np.ndarray:
-    """Rows d e_i / d theta = d pred_i / d theta for i in the subset.
+    """Rows d e_i / d theta = d pred_i / d theta for i in the subset, for
+    one parameter set (a stacked model raises ValueError).
 
     Exact forward sensitivity propagation: S_t = D_t (B_t + W S_{t-1})
     where S_t = dh_t/dtheta and B_t holds the direct dependence of the
@@ -350,20 +353,20 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
     row r_t = [x_t, h_{t-1}, 1] in every block and is added through one
     strided view per step.  The columns are put back into the parameter
     layout once, after the loop.  ``states`` is
-    ``forward_states(model, dataset)`` when the caller has it.  Stacked,
-    the result is (R, n, P).
+    ``forward_states(model, dataset)`` when the caller has it.
     """
+    if model.stacked:
+        raise ValueError("prediction_jacobian takes one parameter set, not a stack")
     H, _ = forward_states(model, dataset) if states is None else states
-    (H,) = _sets(model, H)
-    R, N, h = H.shape
+    N, h = H.shape
     j = model.n_input
     m = j + h + 1
     hm = h * m
     # Neuron-major sensitivity columns, then V, then b_y.
-    JS = np.empty((R, N, hm + h + 1))
-    _sensitivity_rows(model, dataset.inputs, H, out=JS[:, :, :hm])
-    JS[:, :, hm:hm + h] = H
-    JS[:, :, -1] = 1.0
+    JS = np.empty((N, hm + h + 1))
+    _sensitivity_rows(model, dataset.inputs, H, out=JS[:, :hm])
+    JS[:, hm:hm + h] = H
+    JS[:, -1] = 1.0
 
     # JS column of each parameter, in the documented layout.
     neuron = np.arange(h)[:, None]
@@ -372,49 +375,40 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
                              hm + np.arange(h),  # V
                              np.arange(h) * m + j + h,  # b_h
                              [hm + h]])  # b_y
-    sets = np.arange(R)[:, None]
-    rows = _rows(index_subset, R, N)
-    J = JS[sets[:, :, None], rows[:, :, None], column]
-    return _unstack(model, J)
+    rows = np.arange(N) if index_subset is None else np.asarray(index_subset)
+    return JS[rows[:, None], column]
 
 
 def _sensitivity_rows(model: RnnModel, X: np.ndarray, H: np.ndarray, out: np.ndarray):
-    """Fill row t of ``out[s]`` (R x N x h*m) with (V D_t) G_t, neuron-major.
+    """Fill row t of ``out`` (N x h*m) with (V D_t) G_t, neuron-major.
 
-    A function of its own so that its (R, N, h, h) and (R, N, m) work
-    arrays are freed before the caller allocates J.
+    A function of its own so that its (N, h, h) and (N, m) work arrays
+    are freed before the caller allocates J.
     """
-    W, V = _sets(model, model.W, model.V)
-    R, N, h = H.shape
+    N, h = H.shape
     j = model.n_input
     m = j + h + 1
     hm = h * m
-    D = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (R, N, h)
-    B = np.empty((R, N, m))  # r_t = [x_t, h_{t-1}, 1]
-    B[:, :, :j] = X
-    B[:, 0, j:j + h] = 0.0
-    B[:, 1:, j:j + h] = H[:, :-1]
-    B[:, :, -1] = 1.0
-    WD = np.empty((R, N, h, h))  # W D_{t-1}; zero at t = 0, where G_{-1} = 0 anyway
-    WD[:, 0] = 0.0
-    np.multiply(W[:, None], D[:, :-1, None, :], out=WD[:, 1:])
-    VD = V[:, None, :] * D
-    # Two buffers take turns as G_{t-1} and G_t; entry [s, i, i*m + c] of
-    # each is set s's block i diagonal entry c.
-    G_prev, G = np.zeros((R, h, hm)), np.empty((R, h, hm))
-    if R == 1:  # np.dot on 2-D operands costs less per call than a batched matmul
-        product, WD, B, VD, out, G_prev, G = np.dot, WD[0], B[0], VD[0], out[0], G_prev[0], G[0]
-    else:  # time-major views: one index per step
-        product, WD = np.matmul, WD.swapaxes(0, 1)
-        B, VD, out = (a[:, :, None, :].swapaxes(0, 1) for a in (B, VD, out))
+    D = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (N, h)
+    B = np.empty((N, m))  # r_t = [x_t, h_{t-1}, 1]
+    B[:, :j] = X
+    B[0, j:j + h] = 0.0
+    B[1:, j:j + h] = H[:-1]
+    B[:, -1] = 1.0
+    WD = np.empty((N, h, h))  # W D_{t-1}; zero at t = 0, where G_{-1} = 0 anyway
+    WD[0] = 0.0
+    np.multiply(model.W, D[:-1, None, :], out=WD[1:])
+    VD = model.V * D
+    # Two buffers take turns as G_{t-1} and G_t; entry [i, i*m + c] of
+    # each is block i's diagonal entry c.
+    G_prev, G = np.zeros((h, hm)), np.empty((h, hm))
     blocks_prev, blocks = (np.lib.stride_tricks.as_strided(
-        buf, shape=buf.shape[:-1] + (m,),
-        strides=buf.strides[:-2] + ((hm + m) * buf.itemsize, buf.itemsize))
+        buf, shape=(h, m), strides=((hm + m) * buf.itemsize, buf.itemsize))
         for buf in (G_prev, G))
     for t in range(N):
-        product(WD[t], G_prev, out=G)
+        np.dot(WD[t], G_prev, out=G)
         blocks += B[t]
-        product(VD[t], G, out=out[t])
+        np.dot(VD[t], G, out=out[t])
         G_prev, G = G, G_prev
         blocks_prev, blocks = blocks, blocks_prev
 

@@ -353,11 +353,6 @@ class RnnObjective:
         self.val_idx = np.asarray(val_idx if val_idx is not None else [], dtype=int)
         self.remember(None, None)
 
-    @property
-    def val_fn(self):
-        """``val_mse``, or None without a validation set."""
-        return self.val_mse if len(self.val_idx) else None
-
     def knows(self, theta) -> bool:
         return theta.tobytes() == self._key
 

@@ -204,7 +204,7 @@ class TestConfigAndFlags:
 
     def test_pca_k_none_disables(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "o", extra="\n[pca]\nk = none\n")
-        assert load_config(cfg).pca_k is None
+        assert load_config(cfg).experiment.pca_k is None
 
     def test_missing_config_file_errors(self, tmp_path, capsys):
         assert main(["features", "--config", str(tmp_path / "nope.ini")]) == 2
@@ -260,7 +260,7 @@ class TestConfigValidation:
                        f"[experiment]\nstandardize_inputs = {raw}\n")
         rc = load_config(str(cfg))
         assert rc.train.br_val_stop is value
-        assert rc.standardize_inputs is value
+        assert rc.experiment.standardize_inputs is value
 
     def test_benchmark_style_config_loads(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -268,8 +268,8 @@ class TestConfigValidation:
                        "feature_set = mixed\n[pca]\nk = 3\n"
                        "[company:CO01]\nprices = p.csv\nfundamentals = f.csv\n")
         rc = load_config(str(cfg))
-        assert (rc.seed, rc.jobs, rc.train.max_epochs, rc.feature_set, rc.pca_k) == \
-               (4, 1, 3, "mixed", 3)
+        assert (rc.seed, rc.jobs, rc.train.max_epochs, rc.experiment.feature_set,
+                rc.experiment.pca_k) == (4, 1, 3, "mixed", 3)
         assert rc.companies[0].prices == "p.csv"
 
     def test_every_field_is_a_key(self, tmp_path):
@@ -354,3 +354,46 @@ class TestOneSpecPath:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "pca" in err and "k" in err
+
+
+class TestCheckedWhenLoaded:
+    """The whole config is checked before any command starts work."""
+
+    @pytest.mark.parametrize("command", ["synth", "features", "pca"])
+    def test_bad_experiment_rejected_by_every_command(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, out, extra="\n[experiment]\nsplit_mode = bogus\n")
+        assert main([command, "--config", cfg]) == 2
+        assert "split_mode 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_rejects_before_building_features(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_bundle", lambda *args: built.append(args))
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, out, extra="\n[pca]\nscope = everything\n")
+        assert main(["train", "--config", cfg]) == 2
+        assert "pca_scope 'everything'" in capsys.readouterr().err
+        assert built == []
+        assert not out.exists()
+
+    def test_algorithm_has_one_source(self, tmp_path):
+        cfg = write_config(tmp_path, tmp_path / "o")
+        args = cli.build_parser().parse_args(["train", "--config", cfg,
+                                              "--algo", "scg", "--neurons", "7"])
+        rc = cli.apply_overrides(load_config(cfg), args)
+        assert rc.experiment.algorithm == rc.train.algorithm == "scg"
+        assert rc.experiment.n_hidden == 7
+
+    @pytest.mark.parametrize("config, flags", [
+        ("[run]\njobs = 0\n", []),
+        ("", ["--jobs", "0"]),
+        ("", ["--jobs", "-3"]),
+    ])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(config + "\n[company:ACME]\n")
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()

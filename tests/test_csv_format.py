@@ -6,6 +6,7 @@ commands that produce the files.  The one intended difference, empty
 averages for a fully failed grid cell, is pinned on its own.
 """
 
+import dataclasses
 import datetime as dt
 import math
 from pathlib import Path
@@ -191,8 +192,9 @@ class TestCliFilesMatchReference:
 
     def test_pca(self, run):
         root, rc, entry = run
-        features = cli.build_bundle(rc, entry)[0].features_for(rc.feature_set)
-        model = fit_pca(features, rc.pca_k, scale_mode=rc.pca_scale_mode)
+        spec = rc.experiment
+        features = cli.build_bundle(rc, entry)[0].features_for(spec.feature_set)
+        model = fit_pca(features, spec.pca_k, scale_mode=spec.pca_scale_mode)
         self.check(root, "pca_report.csv", lambda p: oracles.write_pca_report(p, model))
         self.check(root, "pca_scatter.csv",
                    lambda p: oracles.write_pca_scatter(p, transform(model, features)))
@@ -200,8 +202,8 @@ class TestCliFilesMatchReference:
     def test_train(self, run):
         root, rc, entry = run
         bundle = cli.build_bundle(rc, entry)[0]
-        spec = cli._experiment_spec(rc, entry.label, repeats=1,
-                                    base_seed=derive_seed(rc.seed, "train", entry.label))
+        spec = dataclasses.replace(rc.experiment, company_label=entry.label, repeats=1,
+                                   base_seed=derive_seed(rc.seed, "train", entry.label))
         artifacts = run_repeat(spec, bundle, spec.base_seed, rc.train)
         rows = [(d, t, p, p - t) for d, t, p in artifacts.prediction_rows]
         self.check(root, "training_curve.csv",

@@ -78,15 +78,16 @@ class TestStackedKernels:
         rows = np.stack(trains)
         H, preds = forward_states(stacked, data)
         grads = gradient_sse(stacked, data, rows)
-        jacobians = prediction_jacobian(stacked, data, rows)
         full = gradient_sse(stacked, data)
+        with pytest.raises(ValueError, match="one parameter set"):
+            prediction_jacobian(stacked, data, rows)
         for r, (model, d) in enumerate(zip(models, datas)):
             want_H, want_preds = oracles.forward_states(model, d)
             assert H[r].tobytes() == want_H.tobytes()
             assert preds[r].tobytes() == want_preds.tobytes()
             assert grads[r].tobytes() == oracles.gradient_sse(model, d, trains[r]).tobytes()
             assert full[r].tobytes() == oracles.gradient_sse(model, d).tobytes()
-            assert (jacobians[r].tobytes()
+            assert (prediction_jacobian(model, d, trains[r]).tobytes()
                     == oracles.prediction_jacobian(model, d, trains[r]).tobytes())
 
     def test_one_set_is_the_stack_of_one(self):

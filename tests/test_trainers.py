@@ -320,7 +320,7 @@ class TestRnnObjective:
             r = obj.residuals(big)
             assert r.shape == (20,) and np.isinf(r).all()
             assert obj.train_mse(big) == math.inf
-        assert obj.val_fn is None
+        assert (obj.val_mse if len(obj.val_idx) else None) is None
         # a finite point after the failure is evaluated afresh
         assert np.array_equal(obj.residuals(theta),
                               forward(model, data)[:20] - data.targets[:20])
@@ -390,7 +390,7 @@ class TestSharedLeastSquaresCore:
         for fn in (core, reference):
             obj = RnnObjective(model, data, train_idx, val_idx)
             runs.append(fn(obj.residuals, obj.jacobian, model.params_to_vector(), cfg,
-                           obj.val_fn, **extra))
+                           obj.val_mse if len(obj.val_idx) else None, **extra))
         assert_same_run(*runs)
 
     @pytest.mark.parametrize("variant", sorted(LEAST_SQUARES_VARIANTS))
