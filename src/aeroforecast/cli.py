@@ -28,9 +28,10 @@ Each INI section fills one object of the resolved :class:`RunConfig`:
 
 The experiment's algorithm is always ``[train] algorithm`` (or --algo).
 The experiment is checked when the config loads, before any command
-starts work.  ``train`` replaces its company and seed; each grid cell
-replaces the company, the four grid dimensions, the repeat count and
-the seed.
+starts work, and its ``pca_k``, whose bounds depend on the command and
+the feature set, once the flags are applied.  ``train`` replaces its
+company and seed; each grid cell replaces the company, the four grid
+dimensions, the repeat count and the seed.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ import numpy as np
 
 from . import fundamentals as fund
 from . import indicators as ind
-from .experiments import (CompanyBundle, ExperimentSpec, cell_name, run_grid,
-                          run_repeat, write_grid_results, write_marginals,
-                          write_predictions)
+from .experiments import (FEATURE_COLUMNS, CompanyBundle, ExperimentSpec, cell_name,
+                          check_grid_template, run_grid, run_repeat,
+                          write_grid_results, write_marginals, write_predictions)
 from .market_data import (MarketDataError, SyntheticSpec, clean_and_align,
                           generate_synthetic, load_prices, write_csv,
                           write_prices)
-from .pca import fit_pca, transform, write_pca_report, write_pca_scatter
+from .pca import check_k, fit_pca, transform, write_pca_report, write_pca_scatter
 from .rnn import save_model
 from .seeding import derive_seed
 from .trainers import TrainConfig
@@ -212,6 +213,17 @@ def apply_overrides(rc: RunConfig, args) -> RunConfig:
     return rc
 
 
+def check_pca_k(command: str, spec: ExperimentSpec) -> None:
+    """The ``[pca] k`` rules of the commands that fit PCA, checked once
+    the flags are applied, before any company's features are built."""
+    if command == "grid":
+        check_grid_template(spec)
+    elif command == "pca" and spec.pca_k is None:
+        raise ValueError("config [pca] k: pca needs a component count, not none")
+    elif command in ("pca", "train") and spec.pca_k is not None:
+        check_k(spec.pca_k, len(FEATURE_COLUMNS[spec.feature_set]))
+
+
 # ---------------------------------------------------------------------------
 # Pipeline steps shared by the commands
 # ---------------------------------------------------------------------------
@@ -295,8 +307,6 @@ def _write_daily_fundamentals(path, dates, matrix):
 def cmd_pca(rc: RunConfig) -> int:
     spec = rc.experiment
     k = spec.pca_k
-    if k is None:
-        raise ValueError("config [pca] k: pca needs a component count, not none")
     for entry in rc.companies:
         bundle, _, _, _ = build_bundle(rc, entry)
         features = bundle.features_for(spec.feature_set)
@@ -393,6 +403,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = apply_overrides(load_config(args.config, args.seed), args)
+        check_pca_k(args.command, rc.experiment)
         return COMMANDS[args.command](rc)
     except (MarketDataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,10 @@ from .seeding import derive_seed
 # where perfbench's traced mode wraps it.
 from .trainers import TrainConfig, train, train_repeats  # noqa: F401
 
-FEATURE_SETS = ("fundamental", "technical", "mixed")
+# The columns of each feature set, in the order of the aligned features.
+FEATURE_COLUMNS = {"fundamental": RATIO_NAMES, "technical": TECHNICAL_COLUMNS,
+                   "mixed": TECHNICAL_COLUMNS + RATIO_NAMES}
+FEATURE_SETS = tuple(FEATURE_COLUMNS)
 GRID_ALGORITHMS = ("lm", "br", "scg")
 GRID_NEURONS = (5, 10, 15, 20)
 GRID_DELAYS = (5, 10, 15)
@@ -50,13 +53,11 @@ class CompanyBundle:
     aligned: AlignedDataset
 
     def features_for(self, feature_set: str) -> np.ndarray:
-        if feature_set == "technical":
-            return self.aligned.columns(TECHNICAL_COLUMNS)
-        if feature_set == "fundamental":
-            return self.aligned.columns(RATIO_NAMES)
-        if feature_set == "mixed":
+        if feature_set not in FEATURE_COLUMNS:
+            raise ValueError(f"unknown feature set {feature_set!r}")
+        if feature_set == "mixed":  # every aligned column, uncopied
             return self.aligned.features
-        raise ValueError(f"unknown feature set {feature_set!r}")
+        return self.aligned.columns(FEATURE_COLUMNS[feature_set])
 
 
 @dataclass(frozen=True)
@@ -311,13 +312,17 @@ GRID_TEMPLATE = ExperimentSpec(company_label="", feature_set=FEATURE_SETS[0],
                                delay=GRID_DELAYS[0])
 
 
+def check_grid_template(template: ExperimentSpec) -> None:
+    if template.pca_k not in (2, 3):
+        raise ValueError("grid pca_k must be 2 or 3")
+
+
 def grid_specs(company_labels, master_seed: int,
                template: ExperimentSpec = GRID_TEMPLATE):
     """The documented cell enumeration: company, then algorithm, feature
     set, hidden neurons, delay (innermost).  Every other field comes
     from ``template``, whose ``pca_k`` must be 2 or 3, as in the paper."""
-    if template.pca_k not in (2, 3):
-        raise ValueError("grid pca_k must be 2 or 3")
+    check_grid_template(template)
     return [replace(template, company_label=label, algorithm=algorithm,
                     feature_set=feature_set, n_hidden=n_hidden, delay=delay,
                     repeats=GRID_REPEATS,

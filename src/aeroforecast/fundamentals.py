@@ -180,36 +180,33 @@ def interpolate_quarterly_to_daily(quarters, trading_days) -> np.ndarray:
     ``quarters`` is a list of (quarter_end, value vector) with strictly
     increasing dates.  For a day t with q_i < t <= q_{i+1} the value is
     v_i + (v_{i+1} - v_i) * days(t - q_i) / days(q_{i+1} - q_i), per
-    feature, using calendar days; a day equal to a quarter end gets that
-    quarter's values exactly.  Days outside [first, last] quarter end
-    are an error.
+    feature, using calendar days.  A day equal to a quarter end, the
+    first included, gets that quarter's values exactly, even where a
+    neighbouring quarter has a NaN feature.  Days outside [first, last]
+    quarter end are an error.
     """
     if len(quarters) < 2:
         raise ValueError(f"need at least 2 quarters, got {len(quarters)}")
     q_dates = [q[0] for q in quarters]
-    q_values = [np.asarray(q[1], dtype=float) for q in quarters]
     for a, b in zip(q_dates, q_dates[1:]):
         if b <= a:
             raise ValueError(f"quarter ends not strictly increasing at {b}")
-    outside = [d for d in trading_days if d < q_dates[0] or d > q_dates[-1]]
-    if outside:
-        shown = ", ".join(str(d) for d in outside[:5])
+    knots = np.array(q_dates, dtype="datetime64[D]").astype(np.int64)
+    days = np.array(trading_days, dtype="datetime64[D]").astype(np.int64)
+    outside = np.flatnonzero((days < knots[0]) | (days > knots[-1]))
+    if outside.size:
+        shown = ", ".join(str(trading_days[i]) for i in outside[:5])
         raise ValueError(f"trading days outside quarter span: {shown}"
-                         + (" ..." if len(outside) > 5 else ""))
+                         + (" ..." if outside.size > 5 else ""))
 
-    out = np.empty((len(trading_days), len(q_values[0])), dtype=float)
-    i = 0
-    for row, day in enumerate(trading_days):
-        if day == q_dates[0]:
-            out[row] = q_values[0]
-            continue
-        while q_dates[i + 1] < day:
-            i += 1
-        if day == q_dates[i + 1]:  # knot values are exact, not interpolated
-            out[row] = q_values[i + 1]
-            continue
-        frac = (day - q_dates[i]).days / (q_dates[i + 1] - q_dates[i]).days
-        out[row] = q_values[i] + (q_values[i + 1] - q_values[i]) * frac
+    values = np.array([np.asarray(q[1], dtype=float) for q in quarters])
+    at = np.searchsorted(knots, days)  # first quarter end on or after each day
+    hi = np.maximum(at, 1)
+    lo = hi - 1
+    frac = (days - knots[lo]) / (knots[hi] - knots[lo])
+    out = values[lo] + (values[hi] - values[lo]) * frac[:, None]
+    on_knot = knots[at] == days  # knot values are exact, not interpolated
+    out[on_knot] = values[at[on_knot]]
     return out
 
 

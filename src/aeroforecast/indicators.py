@@ -111,15 +111,6 @@ def _wilder(values: np.ndarray, window: int, first: int) -> np.ndarray:
     return out
 
 
-def moving_averages(closes, cfg: IndicatorConfig = IndicatorConfig()):
-    """(SMA, fast EMA, slow EMA) of the close series."""
-    closes = np.asarray(closes, dtype=float)
-    _check_length(len(closes), cfg.macd_slow, "moving_averages")
-    return (_sma(closes, cfg.sma_window),
-            _ema(closes, cfg.macd_fast),
-            _ema(closes, cfg.macd_slow))
-
-
 def bollinger_features(closes, cfg: IndicatorConfig = IndicatorConfig()):
     """(band width, %B).
 
@@ -181,8 +172,9 @@ def roc(closes, cfg: IndicatorConfig = IndicatorConfig()):
 def rsi(closes, cfg: IndicatorConfig = IndicatorConfig()):
     """Relative strength index with Wilder smoothing.
 
-    Conventions for degenerate windows: no down moves and some up moves
-    -> 100; no movement at all -> 50.
+    RSI = 100 - 100 / (1 + avg_up / avg_down), NaN until ``rsi_window``
+    moves have been seen.  Conventions for degenerate windows, where
+    avg_down is 0: some up moves -> 100; no movement at all -> 50.
     """
     closes = np.asarray(closes, dtype=float)
     n = cfg.rsi_window
@@ -192,16 +184,9 @@ def rsi(closes, cfg: IndicatorConfig = IndicatorConfig()):
     down = np.where(delta < 0, -delta, 0.0)
     avg_up = _wilder(up, n, first=1)
     avg_down = _wilder(down, n, first=1)
-    out = np.full(closes.shape, np.nan)
-    for t in range(len(closes)):
-        u, d = avg_up[t], avg_down[t]
-        if np.isnan(u) or np.isnan(d):
-            continue
-        if d == 0.0:
-            out[t] = 50.0 if u == 0.0 else 100.0
-        else:
-            out[t] = 100.0 - 100.0 / (1.0 + u / d)
-    return out
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(avg_down == 0.0, np.where(avg_up == 0.0, 50.0, 100.0),
+                        100.0 - 100.0 / (1.0 + avg_up / avg_down))
 
 
 def dmi_adx(bars, cfg: IndicatorConfig = IndicatorConfig()):
@@ -209,18 +194,13 @@ def dmi_adx(bars, cfg: IndicatorConfig = IndicatorConfig()):
     high, low, close = _hlc(bars)
     n = cfg.dmi_window
     _check_length(len(close), 2 * n, "dmi_adx")
-    T = len(close)
-    plus_dm = np.full(T, np.nan)
-    minus_dm = np.full(T, np.nan)
-    tr = np.full(T, np.nan)
-    for t in range(1, T):
-        up = high[t] - high[t - 1]
-        dn = low[t - 1] - low[t]
-        plus_dm[t] = up if (up > dn and up > 0) else 0.0
-        minus_dm[t] = dn if (dn > up and dn > 0) else 0.0
-        tr[t] = max(high[t] - low[t],
-                    abs(high[t] - close[t - 1]),
-                    abs(low[t] - close[t - 1]))
+    plus_dm, minus_dm, tr = np.full((3, len(close)), np.nan)  # day 0 stays NaN
+    up, dn = np.diff(high), -np.diff(low)
+    plus_dm[1:] = np.where((up > dn) & (up > 0), up, 0.0)
+    minus_dm[1:] = np.where((dn > up) & (dn > 0), dn, 0.0)
+    prev = close[:-1]
+    tr[1:] = np.maximum(high[1:] - low[1:],
+                        np.maximum(np.abs(high[1:] - prev), np.abs(low[1:] - prev)))
     s_plus = _wilder(plus_dm, n, first=1)
     s_minus = _wilder(minus_dm, n, first=1)
     s_tr = _wilder(tr, n, first=1)

@@ -33,6 +33,12 @@ class PcaModel:
         return self.mean.size
 
 
+def check_k(k: int, m: int) -> None:
+    """A component count must lie in [1, m] for m features."""
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} out of range [1, {m}]")
+
+
 def fit_pca(data, k: int, scale_mode: str = "center-only") -> PcaModel:
     """Fit a PCA mapping of the top-k covariance eigenvectors.
 
@@ -47,8 +53,7 @@ def fit_pca(data, k: int, scale_mode: str = "center-only") -> PcaModel:
     n, m = X.shape
     if n < 2:
         raise ValueError(f"need more than one sample, got {n}")
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} out of range [1, {m}]")
+    check_k(k, m)
     if not np.all(np.isfinite(X)):
         raise ValueError("data contains missing values")
     if scale_mode not in SCALE_MODES:

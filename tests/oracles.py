@@ -17,7 +17,7 @@ import numpy as np
 
 from aeroforecast.experiments import GRID_RESULT_COLUMNS, MARGINAL_DIMENSIONS, GridReport
 from aeroforecast.fundamentals import RATIO_NAMES
-from aeroforecast.indicators import TECHNICAL_COLUMNS
+from aeroforecast.indicators import TECHNICAL_COLUMNS, IndicatorConfig, _wilder
 from aeroforecast.market_data import PRICE_COLUMNS
 from aeroforecast.pca import PcaModel, explained_variance_rows
 from aeroforecast.trainers import TrainConfig, _EpochLog
@@ -207,6 +207,83 @@ def nan_equal(a, b, atol):
     if diff > atol:
         raise AssertionError(f"max abs diff {diff} exceeds {atol}")
     return diff
+
+
+# ---------------------------------------------------------------------------
+# Feature routines as the library wrote them with a per-day loop, before
+# whole-array expressions replaced the loops, kept as the reference for
+# byte-identical output.  The Wilder smoothing is the library's own.
+# ---------------------------------------------------------------------------
+
+
+def rsi(closes, cfg: IndicatorConfig = IndicatorConfig()):
+    closes = np.asarray(closes, dtype=float)
+    n = cfg.rsi_window
+    delta = np.diff(closes, prepend=np.nan)
+    up = np.where(delta > 0, delta, 0.0)
+    down = np.where(delta < 0, -delta, 0.0)
+    avg_up = _wilder(up, n, first=1)
+    avg_down = _wilder(down, n, first=1)
+    out = np.full(closes.shape, np.nan)
+    for t in range(len(closes)):
+        u, d = avg_up[t], avg_down[t]
+        if np.isnan(u) or np.isnan(d):
+            continue
+        if d == 0.0:
+            out[t] = 50.0 if u == 0.0 else 100.0
+        else:
+            out[t] = 100.0 - 100.0 / (1.0 + u / d)
+    return out
+
+
+def dmi_adx(bars, cfg: IndicatorConfig = IndicatorConfig()):
+    high = np.array([b.high for b in bars], dtype=float)
+    low = np.array([b.low for b in bars], dtype=float)
+    close = np.array([b.close for b in bars], dtype=float)
+    n = cfg.dmi_window
+    T = len(close)
+    plus_dm = np.full(T, np.nan)
+    minus_dm = np.full(T, np.nan)
+    tr = np.full(T, np.nan)
+    for t in range(1, T):
+        up = high[t] - high[t - 1]
+        dn = low[t - 1] - low[t]
+        plus_dm[t] = up if (up > dn and up > 0) else 0.0
+        minus_dm[t] = dn if (dn > up and dn > 0) else 0.0
+        tr[t] = max(high[t] - low[t],
+                    abs(high[t] - close[t - 1]),
+                    abs(low[t] - close[t - 1]))
+    s_plus = _wilder(plus_dm, n, first=1)
+    s_minus = _wilder(minus_dm, n, first=1)
+    s_tr = _wilder(tr, n, first=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        plus_dmi = np.where(s_tr == 0.0, np.nan, 100.0 * s_plus / s_tr)
+        minus_dmi = np.where(s_tr == 0.0, np.nan, 100.0 * s_minus / s_tr)
+        dmi_sum = plus_dmi + minus_dmi
+        dx = np.where(dmi_sum == 0.0, np.nan,
+                      100.0 * np.abs(plus_dmi - minus_dmi) / dmi_sum)
+    adx = _wilder(dx, n, first=n)
+    return plus_dmi, minus_dmi, adx
+
+
+def interpolate_quarterly_to_daily(quarters, trading_days):
+    """Days must be sorted: the segment cursor only moves forward."""
+    q_dates = [q[0] for q in quarters]
+    q_values = [np.asarray(q[1], dtype=float) for q in quarters]
+    out = np.empty((len(trading_days), len(q_values[0])), dtype=float)
+    i = 0
+    for row, day in enumerate(trading_days):
+        if day == q_dates[0]:
+            out[row] = q_values[0]
+            continue
+        while q_dates[i + 1] < day:
+            i += 1
+        if day == q_dates[i + 1]:
+            out[row] = q_values[i + 1]
+            continue
+        frac = (day - q_dates[i]).days / (q_dates[i + 1] - q_dates[i]).days
+        out[row] = q_values[i] + (q_values[i + 1] - q_values[i]) * frac
+    return out
 
 
 # ---------------------------------------------------------------------------

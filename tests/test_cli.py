@@ -336,16 +336,41 @@ class TestOneSpecPath:
         assert ran == []
         assert not out.exists()
 
+    @staticmethod
+    def spy_build_bundle(monkeypatch):
+        built = []
+        real = cli.build_bundle
+        monkeypatch.setattr(cli, "build_bundle", lambda *args: built.append(args) or real(*args))
+        return built
+
     def test_grid_pca_k_outside_the_paper_rejected_before_any_repeat(self, tmp_path, capsys,
                                                                     monkeypatch):
         ran = []
         monkeypatch.setattr(experiments, "_run_repeats", lambda *args: ran.append(args))
+        built = self.spy_build_bundle(monkeypatch)
         out = tmp_path / "o"
         cfg = write_config(tmp_path, out, extra="\n[pca]\nk = 4\n")
         assert main(["grid", "--config", cfg]) == 2
         assert "grid pca_k must be 2 or 3" in capsys.readouterr().err
         assert ran == []
+        assert built == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pca", "train"])
+    @pytest.mark.parametrize("k", [-2, 20])
+    def test_pca_k_out_of_range_rejected_before_any_company_is_built(
+            self, tmp_path, capsys, monkeypatch, command, k):
+        built = self.spy_build_bundle(monkeypatch)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, out, extra=f"\n[pca]\nk = {k}\n")
+        assert main([command, "--config", cfg]) == 2
+        assert f"k={k} out of range [1, 15]" in capsys.readouterr().err
+        assert built == []
+        assert not out.exists()
+
+    def test_pca_k_bounded_by_the_flagged_feature_set(self, tmp_path):
+        cfg = write_config(tmp_path, tmp_path / "o", extra="\n[pca]\nk = 20\n")
+        assert main(["pca", "--config", cfg, "--feature-set", "mixed"]) == 0
 
     @pytest.mark.parametrize("command", ["pca", "grid"])
     def test_pca_k_none_rejected_where_components_are_needed(self, tmp_path, capsys,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from aeroforecast import fundamentals as fund
 from aeroforecast.market_data import (MarketDataError, QuarterlyReport,
                                       SyntheticSpec, generate_synthetic)
@@ -175,6 +176,42 @@ class TestInterpolation:
         assert np.array_equal(out[:, 0], base[:, 0])
         assert np.array_equal(out[:, 2], base[:, 2])
         assert not np.array_equal(out[:, 1], base[:, 1])
+
+    def assert_bytes_equal_loop_reference(self, quarters, days):
+        got = fund.interpolate_quarterly_to_daily(quarters, days)
+        want = oracles.interpolate_quarterly_to_daily(quarters, days)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_bytes_equal_loop_reference_on_seeded_quarters(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            q_dates = [dt.date(2019, 1, 7) + dt.timedelta(days=int(d))
+                       for d in np.cumsum(rng.integers(60, 120, size=int(rng.integers(2, 9))))]
+            vectors = [rng.standard_normal(4) * 10.0 ** rng.integers(-3, 4, size=4)
+                       for _ in q_dates]
+            span = (q_dates[-1] - q_dates[0]).days
+            days = sorted({q_dates[0] + dt.timedelta(days=int(o))
+                           for o in rng.integers(0, span + 1, size=60)} | set(q_dates))
+            self.assert_bytes_equal_loop_reference(list(zip(q_dates, vectors)), days)
+
+    def test_knot_next_to_nan_quarter_keeps_its_value(self):
+        q_dates = [dt.date(2020, 1, 1) + dt.timedelta(days=91 * i) for i in range(4)]
+        vectors = [np.array([1.5, 2.0]), np.array([np.nan, 3.0]),
+                   np.array([4.25, np.nan]), np.array([-1.0, 0.5])]
+        days = self.days(q_dates[0], 274)
+        out = self.assert_bytes_equal_loop_reference(list(zip(q_dates, vectors)), days)
+        for q, v in zip(q_dates, vectors):
+            assert out[days.index(q)].tobytes() == v.tobytes()
+
+    def test_days_on_first_and_last_knot(self):
+        q_dates = [dt.date(2020, 1, 1), dt.date(2020, 3, 31), dt.date(2020, 6, 30)]
+        # 2.5 + (0.1 - 2.5) * 1 rounds to 0.10000000000000009.
+        vectors = [np.array([0.7]), np.array([2.5]), np.array([0.1])]
+        for days in ([q_dates[0]], [q_dates[-1]], [q_dates[0], q_dates[-1]]):
+            out = self.assert_bytes_equal_loop_reference(list(zip(q_dates, vectors)), days)
+            assert [row.tobytes() for row in out] == [
+                vectors[q_dates.index(d)].tobytes() for d in days]
 
     def test_day_outside_span_is_error(self):
         q = [(dt.date(2020, 1, 1), np.array([0.0])),

@@ -23,26 +23,20 @@ def hlc_of(bars):
 class TestMovingAverages:
     def test_constant_series(self):
         closes = np.full(40, 7.0)
-        sma, ema_fast, ema_slow = ind.moving_averages(closes)
+        sma = ind._sma(closes, CFG.sma_window)
         assert np.allclose(sma[4:], 7.0)
-        assert np.allclose(ema_fast[11:], 7.0)
-        assert np.allclose(ema_slow[25:], 7.0)
+        assert np.allclose(ind._ema(closes, CFG.macd_fast)[11:], 7.0)
+        assert np.allclose(ind._ema(closes, CFG.macd_slow)[25:], 7.0)
         assert np.isnan(sma[:4]).all()
 
     def test_sma5_of_ramp(self):
         closes = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0] * 5)
-        sma, _, _ = ind.moving_averages(closes)
-        assert sma[4] == 3.0
+        assert ind._sma(closes, CFG.sma_window)[4] == 3.0
 
     def test_ema_matches_recursive_oracle(self):
         closes = closes_of(make_random_bars(11, n=60))
-        _, ema_fast, ema_slow = ind.moving_averages(closes)
-        oracles.nan_equal(ema_fast, oracles.ema_oracle(list(closes), 12), 1e-12)
-        oracles.nan_equal(ema_slow, oracles.ema_oracle(list(closes), 26), 1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="at least"):
-            ind.moving_averages(np.ones(10))
+        oracles.nan_equal(ind._ema(closes, 12), oracles.ema_oracle(list(closes), 12), 1e-12)
+        oracles.nan_equal(ind._ema(closes, 26), oracles.ema_oracle(list(closes), 26), 1e-12)
 
 
 class TestBollinger:
@@ -132,6 +126,24 @@ class TestRsi:
         closes = closes_of(make_random_bars(15, n=60))
         oracles.nan_equal(ind.rsi(closes), oracles.rsi_oracle(list(closes), 14), 1e-10)
 
+    @pytest.mark.parametrize("closes", [
+        np.full(30, 9.0),
+        np.arange(1.0, 31.0),
+        np.arange(31.0, 1.0, -1.0),
+        np.r_[np.full(20, 5.0), np.arange(6.0, 26.0)],
+        np.r_[np.arange(1.0, 21.0), np.full(20, 20.0)],
+        np.r_[np.arange(20.0, 0.0, -1.0), np.full(20, 1.0)],
+    ], ids=["flat", "up", "down", "flat-then-up", "up-then-flat", "down-then-flat"])
+    def test_bytes_equal_loop_reference_on_degenerate_windows(self, closes):
+        assert ind.rsi(closes).tobytes() == oracles.rsi(closes).tobytes()
+
+    def test_bytes_equal_loop_reference_on_seeded_series(self):
+        for seed in range(20):
+            closes = closes_of(make_random_bars(300 + seed, n=120))
+            for window in (2, 14, 40):
+                cfg = IndicatorConfig(rsi_window=window)
+                assert ind.rsi(closes, cfg).tobytes() == oracles.rsi(closes, cfg).tobytes()
+
 
 class TestDmiAdx:
     def test_rising_highs_flat_lows_no_minus(self):
@@ -158,6 +170,39 @@ class TestDmiAdx:
         oracles.nan_equal(plus, o_plus, 1e-9)
         oracles.nan_equal(minus, o_minus, 1e-9)
         oracles.nan_equal(adx, o_adx, 1e-9)
+
+    @staticmethod
+    def assert_bytes_equal_loop_reference(bars, cfg=CFG):
+        for got, want in zip(ind.dmi_adx(bars, cfg), oracles.dmi_adx(bars, cfg)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_bytes_equal_loop_reference_on_seeded_bars(self):
+        for seed in range(20):
+            bars = make_random_bars(400 + seed, n=120)
+            for window in (2, 14, 30):
+                self.assert_bytes_equal_loop_reference(bars, IndicatorConfig(dmi_window=window))
+
+    def test_bytes_equal_loop_reference_on_zero_range_bars(self):
+        base = make_random_bars(5, n=60)
+        flat = [type(b)(b.date, 5.0, 5.0, 5.0, 5.0, b.volume) for b in base]
+        self.assert_bytes_equal_loop_reference(flat)
+        # Each bar a single price, moving from day to day: TR is the gap.
+        points = [type(b)(b.date, b.close, b.close, b.close, b.close, b.volume)
+                  for b in base]
+        self.assert_bytes_equal_loop_reference(points)
+
+    def test_bytes_equal_loop_reference_on_gaps_and_tied_moves(self):
+        # Bars gap up and down past the previous close, so each term of TR
+        # wins on some day, and bars that widen evenly about an unchanged
+        # centre make the up and down moves equal and positive.
+        base = make_random_bars(6, n=80)
+        rng = np.random.default_rng(6)
+        centres = 100.0 + np.cumsum(rng.choice([-3.0, 0.0, 0.0, 3.0], size=len(base)))
+        widths = rng.choice([1.0, 2.0, 3.0], size=len(base))
+        bars = [type(b)(b.date, c, c + w, c - w, c, b.volume)
+                for b, c, w in zip(base, centres, widths)]
+        self.assert_bytes_equal_loop_reference(bars)
+        self.assert_bytes_equal_loop_reference(bars, IndicatorConfig(dmi_window=2))
 
 
 class TestMacd:
@@ -251,7 +296,7 @@ class TestTechnicalMatrix:
         closes = closes_of(bars)
         matrix = ind.compute_technical_matrix(bars)
         names = list(ind.TECHNICAL_COLUMNS)
-        sma, _, _ = ind.moving_averages(closes)
+        sma = ind._sma(closes, CFG.sma_window)
         width, pb = ind.bollinger_features(closes)
         line, sig = ind.macd_features(closes)
         plus, minus, adx = ind.dmi_adx(bars)
