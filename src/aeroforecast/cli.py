@@ -269,9 +269,7 @@ def _outdir(rc: RunConfig, *parts) -> str:
 
 def cmd_synth(rc: RunConfig) -> int:
     for entry in rc.companies:
-        spec = dataclasses.replace(rc.synthetic,
-                                   seed=derive_seed(rc.seed, "synth", entry.label))
-        bars, reports = generate_synthetic(spec)
+        bars, reports = company_raw_data(rc, CompanyEntry(entry.label))  # no files: generated
         out = _outdir(rc, entry.label)
         write_prices(os.path.join(out, "prices.csv"), bars)
         fund.write_fundamentals(os.path.join(out, "fundamentals.csv"), reports)
@@ -333,8 +331,8 @@ def cmd_train(rc: RunConfig) -> int:
         write_csv(os.path.join(out, "training_curve.csv"), ["epoch", "train_mse", "val_mse"],
                   ((e, tm, vm) for e, (tm, vm) in
                    enumerate(zip(rec.train_mse, rec.val_mse), start=1)))
-        rows = [(d, t, p, p - t) for d, t, p in artifacts.prediction_rows]
-        write_predictions(os.path.join(out, f"predictions_{entry.label}.csv"), rows)
+        write_predictions(os.path.join(out, f"predictions_{entry.label}.csv"),
+                          artifacts.prediction_rows)
         print(f"{entry.label}: {rc.train.algorithm.upper()} stopped after "
               f"{rec.total_epochs} epochs ({rec.stop_reason}), best epoch "
               f"{rec.best_epoch}, test MSE {artifacts.test_mse:.6f}")

@@ -33,16 +33,16 @@ from .rnn import (SequenceDataset, build_supervised, forward, init_rnn,
 from .seeding import derive_seed
 # ``train`` is unused here but stays importable as ``experiments.train``,
 # where perfbench's traced mode wraps it.
-from .trainers import TrainConfig, train, train_repeats  # noqa: F401
+from .trainers import ALGORITHMS, TrainConfig, train, train_repeats  # noqa: F401
 
 # The columns of each feature set, in the order of the aligned features.
 FEATURE_COLUMNS = {"fundamental": RATIO_NAMES, "technical": TECHNICAL_COLUMNS,
                    "mixed": TECHNICAL_COLUMNS + RATIO_NAMES}
 FEATURE_SETS = tuple(FEATURE_COLUMNS)
-GRID_ALGORITHMS = ("lm", "br", "scg")
 GRID_NEURONS = (5, 10, 15, 20)
 GRID_DELAYS = (5, 10, 15)
 GRID_REPEATS = 10
+MIN_SPLIT_SAMPLES = 20  # the fewest samples a train/validation/test split takes
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature set {self.feature_set!r}")
-        if self.algorithm not in GRID_ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.delay < 1 or self.n_hidden < 1 or self.repeats < 1:
             raise ValueError("delay, n_hidden, and repeats must be positive")
@@ -123,31 +123,29 @@ class ExperimentResult:
         return self.n_failed > 0
 
 
-def split_70_15_15(n_samples: int, seed: int):
-    """Disjoint (train, validation, test) index arrays covering 0..n-1.
-
-    Validation and test each get round(0.15 n) samples (Python rounding,
-    half to even); training gets the rest.  Assignment is a seeded
-    uniform shuffle.
-    """
-    if n_samples < 20:
-        raise ValueError(f"need at least 20 samples to split, got {n_samples}")
+def _split(n_samples: int, seed: int | None):
+    """Cut an ordering of 0..n-1 into disjoint (train, validation, test)
+    index arrays: validation and test each get round(0.15 n) samples
+    (Python rounding, half to even), training the rest.  The ordering is
+    a seeded uniform shuffle, or time order for ``seed=None``."""
+    if n_samples < MIN_SPLIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_SPLIT_SAMPLES} samples to split, got {n_samples}")
     n_val = round(0.15 * n_samples)
     n_train = n_samples - 2 * n_val
-    perm = np.random.default_rng(seed).permutation(n_samples)
-    return (perm[:n_train],
-            perm[n_train:n_train + n_val],
-            perm[n_train + n_val:])
+    order = (np.arange(n_samples) if seed is None
+             else np.random.default_rng(seed).permutation(n_samples))
+    return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
+
+
+def split_70_15_15(n_samples: int, seed: int):
+    """Disjoint (train, validation, test) index arrays covering 0..n-1,
+    sized as :func:`_split` says, assigned by a seeded uniform shuffle."""
+    return _split(n_samples, seed)
 
 
 def split_blocked(n_samples: int):
     """Contiguous-in-time 70/15/15 split for leakage-aware studies."""
-    if n_samples < 20:
-        raise ValueError(f"need at least 20 samples to split, got {n_samples}")
-    n_val = round(0.15 * n_samples)
-    n_train = n_samples - 2 * n_val
-    idx = np.arange(n_samples)
-    return idx[:n_train], idx[n_train:n_train + n_val], idx[n_train + n_val:]
+    return _split(n_samples, None)
 
 
 def prepare_inputs(spec: ExperimentSpec, features: np.ndarray, fit_rows=None):
@@ -278,9 +276,10 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
     if cfg is None:
         cfg = TrainConfig(algorithm=spec.algorithm)
     n_pairs = len(bundle.aligned.target) - spec.delay
-    if n_pairs < 20:
+    if n_pairs < MIN_SPLIT_SAMPLES:
         raise ValueError(
-            f"{bundle.label}: {n_pairs} usable pairs after delay {spec.delay}; need >= 20"
+            f"{bundle.label}: {n_pairs} usable pairs after delay {spec.delay}; "
+            f"need >= {MIN_SPLIT_SAMPLES}"
         )
     result = ExperimentResult(spec=spec)
     best_mse = np.inf
@@ -293,10 +292,7 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
         result.repeats.append(artifacts.result)
         if artifacts.test_mse < best_mse:
             best_mse = artifacts.test_mse
-            result.best_predictions = [
-                (date, target, pred, pred - target)
-                for date, target, pred in artifacts.prediction_rows
-            ]
+            result.best_predictions = artifacts.prediction_rows
     ok = [r for r in result.repeats if r.error is None]
     if ok:
         result.avg_total_epochs = float(np.mean([r.total_epochs for r in ok]))
@@ -308,7 +304,7 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
 
 # The paper's settings for everything the grid does not vary.
 GRID_TEMPLATE = ExperimentSpec(company_label="", feature_set=FEATURE_SETS[0],
-                               algorithm=GRID_ALGORITHMS[0], n_hidden=GRID_NEURONS[0],
+                               algorithm=ALGORITHMS[0], n_hidden=GRID_NEURONS[0],
                                delay=GRID_DELAYS[0])
 
 
@@ -329,7 +325,7 @@ def grid_specs(company_labels, master_seed: int,
                     base_seed=derive_seed(master_seed, "grid", label, algorithm,
                                           feature_set, n_hidden, delay))
             for label in company_labels
-            for algorithm in GRID_ALGORITHMS
+            for algorithm in ALGORITHMS
             for feature_set in FEATURE_SETS
             for n_hidden in GRID_NEURONS
             for delay in GRID_DELAYS]
@@ -358,17 +354,13 @@ class GridReport:
         already excluded from the cell averages, and fully-failed cells
         are skipped.
         """
-        key_fn = {
-            "algorithm": lambda s: s.algorithm,
-            "feature_set": lambda s: s.feature_set,
-            "neurons": lambda s: s.n_hidden,
-            "delay": lambda s: s.delay,
-        }[dimension]
+        spec_field = MARGINAL_DIMENSIONS[dimension]
         groups: dict = {}
         for res in self.results:
             if not np.isfinite(res.avg_test_mse):
                 continue
-            groups.setdefault((res.spec.company_label, key_fn(res.spec)), []).append(res)
+            key = (res.spec.company_label, getattr(res.spec, spec_field))
+            groups.setdefault(key, []).append(res)
         rows = []
         for key, cells in groups.items():
             rows.append((
@@ -419,7 +411,9 @@ GRID_RESULT_COLUMNS = (
     "avg_total_epochs", "avg_best_epochs", "avg_test_mse", "avg_runtime_seconds",
 )
 
-MARGINAL_DIMENSIONS = ("algorithm", "feature_set", "neurons", "delay")
+# Each marginals file's grouping dimension -> the ExperimentSpec field it reads.
+MARGINAL_DIMENSIONS = {"algorithm": "algorithm", "feature_set": "feature_set",
+                       "neurons": "n_hidden", "delay": "delay"}
 
 
 def cell_name(spec: ExperimentSpec) -> str:
@@ -449,5 +443,7 @@ def write_marginals(out_dir, report: GridReport) -> list:
 
 
 def write_predictions(path, rows) -> None:
-    """``predictions_<cell>.csv``: date,target,prediction,error rows."""
-    write_csv(path, ["date", "target", "prediction", "error"], rows)
+    """``predictions_<cell>.csv`` from (date, target, prediction) rows,
+    each written with its error, prediction - target."""
+    write_csv(path, ["date", "target", "prediction", "error"],
+              ((date, target, pred, pred - target) for date, target, pred in rows))

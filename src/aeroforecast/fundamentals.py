@@ -12,12 +12,11 @@ from __future__ import annotations
 import bisect
 import datetime as dt
 import math
-from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .market_data import (MarketDataError, QuarterlyReport, _parse_date,
-                          _parse_float, read_csv, write_csv)
+from .market_data import (MarketDataError, QuarterlyReport, _check_date_order,
+                          _parse_date, _parse_float, read_csv, write_csv)
 
 # Statement line items accepted in fundamentals.csv.
 STATEMENT_FIELDS = (
@@ -38,33 +37,6 @@ RATIO_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FundamentalRatios:
-    """One quarter's ratio features; NaN marks a ratio that could not be
-    computed (absent input or zero denominator)."""
-
-    quarter_end: dt.date
-    roic: float = math.nan
-    operating_margin: float = math.nan
-    roa: float = math.nan
-    revenue_growth: float = math.nan
-    total_assets_growth: float = math.nan
-    total_debt_growth: float = math.nan
-    debt_to_assets: float = math.nan
-    equity_ratio: float = math.nan
-    ar_turnover: float = math.nan
-    quick_ratio: float = math.nan
-    current_ratio: float = math.nan
-    eps: float = math.nan
-    pe_ratio: float = math.nan
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in RATIO_NAMES], dtype=float)
-
-
-assert tuple(f.name for f in dc_fields(FundamentalRatios))[1:] == RATIO_NAMES
-
-
 def _div(num, den):
     if num is None or den is None or den == 0.0:
         return math.nan
@@ -72,12 +44,15 @@ def _div(num, den):
 
 
 def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = None,
-                   market_price: float | None = None) -> FundamentalRatios:
+                   market_price: float | None = None) -> dict:
     """Compute the 13 ratio features for one quarter.
 
-    ``year_ago`` (the same quarter of the previous year) feeds the three
-    growth features; ``market_price`` feeds the P/E ratio.  Raises if
-    every ratio comes out missing.
+    Returns a dict keyed by :data:`RATIO_NAMES`, in that order, whose
+    values are floats; NaN marks a ratio that could not be computed
+    (absent input or zero denominator).  ``year_ago`` (the same quarter
+    of the previous year) feeds the three growth features;
+    ``market_price`` feeds the P/E ratio.  Raises if every ratio comes
+    out missing.
     """
     cur = current.values.get
     ago = year_ago.values.get if year_ago is not None else (lambda _name: None)
@@ -104,39 +79,38 @@ def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = 
     eps_num = gp - pref if gp is not None and pref is not None else None
     eps = _div(eps_num, cur("total_equity_shares"))
 
-    out = FundamentalRatios(
-        quarter_end=current.quarter_end,
-        roic=_div(roic_num, roic_den),
-        operating_margin=_div(cur("operating_profit"), cur("operating_income")) * 100.0,
-        roa=_div(cur("net_income"), cur("total_assets")),
-        revenue_growth=growth("revenue"),
-        total_assets_growth=growth("total_assets"),
-        total_debt_growth=growth("total_debt"),
-        debt_to_assets=_div(cur("total_debt"), cur("total_assets")),
-        equity_ratio=_div(cur("equity"), cur("total_assets")),
-        ar_turnover=_div(cur("sales_net_income"), ar_avg),
-        quick_ratio=_div(quick_num, cur("current_liabilities")),
-        current_ratio=_div(cur("current_assets"), cur("current_liabilities")),
-        eps=eps,
-        pe_ratio=_div(market_price, eps) if not math.isnan(eps) and eps != 0.0 else math.nan,
-    )
-    if np.isnan(out.as_vector()).all():
+    ratios = {
+        "roic": _div(roic_num, roic_den),
+        "operating_margin": _div(cur("operating_profit"), cur("operating_income")) * 100.0,
+        "roa": _div(cur("net_income"), cur("total_assets")),
+        "revenue_growth": growth("revenue"),
+        "total_assets_growth": growth("total_assets"),
+        "total_debt_growth": growth("total_debt"),
+        "debt_to_assets": _div(cur("total_debt"), cur("total_assets")),
+        "equity_ratio": _div(cur("equity"), cur("total_assets")),
+        "ar_turnover": _div(cur("sales_net_income"), ar_avg),
+        "quick_ratio": _div(quick_num, cur("current_liabilities")),
+        "current_ratio": _div(cur("current_assets"), cur("current_liabilities")),
+        "eps": eps,
+        "pe_ratio": _div(market_price, eps) if not math.isnan(eps) and eps != 0.0 else math.nan,
+    }
+    if all(math.isnan(value) for value in ratios.values()):
         raise ValueError(f"{current.quarter_end}: no ratio could be computed")
-    return out
+    return ratios
 
 
 def ratios_from_report(report: QuarterlyReport,
                        market_price: float | None = None,
-                       year_ago: QuarterlyReport | None = None) -> FundamentalRatios:
-    """Ratio features for a report that may carry precomputed ratios.
+                       year_ago: QuarterlyReport | None = None) -> dict:
+    """Ratio features for a report that may carry precomputed ratios,
+    as the dict :func:`compute_ratios` returns.
 
     If any ratio-name key is present the report is treated as
     precomputed (absent ratios stay NaN); otherwise the ratios are
     computed from its statement fields.
     """
     if any(name in report.values for name in RATIO_NAMES):
-        kwargs = {name: float(report.values.get(name, math.nan)) for name in RATIO_NAMES}
-        return FundamentalRatios(quarter_end=report.quarter_end, **kwargs)
+        return {name: float(report.values.get(name, math.nan)) for name in RATIO_NAMES}
     return compute_ratios(report, year_ago=year_ago, market_price=market_price)
 
 
@@ -169,9 +143,9 @@ def quarterly_ratio_matrix(reports, bars):
         return min(reports[lo:hi], key=lambda r: abs(r.quarter_end - target), default=None)
 
     rows = [ratios_from_report(r, market_price=price_at(r.quarter_end),
-                               year_ago=year_ago(r.quarter_end)).as_vector()
+                               year_ago=year_ago(r.quarter_end))
             for r in reports]
-    return q_dates, np.array(rows, dtype=float)
+    return q_dates, np.array([[row[name] for name in RATIO_NAMES] for row in rows], dtype=float)
 
 
 def interpolate_quarterly_to_daily(quarters, trading_days) -> np.ndarray:
@@ -248,12 +222,7 @@ def load_fundamentals(path) -> list[QuarterlyReport]:
                 if not math.isfinite(values[name]):
                     raise MarketDataError(f"{where}: non-finite {name} {values[name]}")
         if reports:
-            if q_end == reports[-1].quarter_end:
-                raise MarketDataError(f"{where}: duplicate quarter end {q_end}")
-            if q_end < reports[-1].quarter_end:
-                raise MarketDataError(
-                    f"{where}: quarter end {q_end} not after {reports[-1].quarter_end}"
-                )
+            _check_date_order(where, "quarter end", q_end, reports[-1].quarter_end)
         reports.append(QuarterlyReport(quarter_end=q_end, values=values))
     return reports
 

@@ -134,13 +134,13 @@ def bollinger_features(closes, cfg: IndicatorConfig = IndicatorConfig()):
     return width, percent_b
 
 
-def cci(bars, cfg: IndicatorConfig = IndicatorConfig()):
+def cci(high, low, close, cfg: IndicatorConfig = IndicatorConfig()):
     """Commodity channel index over (high, low, close).
 
     standard mode:       (TP - SMA(close)) / (scale * mean |close - SMA|)
     paper-literal mode:  (TP - SMA(close)) / (SMA(close) - close * scale)
     """
-    high, low, close = _hlc(bars)
+    high, low, close = np.asarray([high, low, close], dtype=float)
     w = cfg.cci_window
     _check_length(len(close), w, "cci")
     tp = (high + low + close) / 3.0
@@ -189,9 +189,9 @@ def rsi(closes, cfg: IndicatorConfig = IndicatorConfig()):
                         100.0 - 100.0 / (1.0 + avg_up / avg_down))
 
 
-def dmi_adx(bars, cfg: IndicatorConfig = IndicatorConfig()):
+def dmi_adx(high, low, close, cfg: IndicatorConfig = IndicatorConfig()):
     """(+DMI, -DMI, ADX) with Wilder's mutual-exclusion directional moves."""
-    high, low, close = _hlc(bars)
+    high, low, close = np.asarray([high, low, close], dtype=float)
     n = cfg.dmi_window
     _check_length(len(close), 2 * n, "dmi_adx")
     plus_dm, minus_dm, tr = np.full((3, len(close)), np.nan)  # day 0 stays NaN
@@ -226,9 +226,9 @@ def macd_features(closes, cfg: IndicatorConfig = IndicatorConfig()):
     return line, signal
 
 
-def stochastic_kd(bars, cfg: IndicatorConfig = IndicatorConfig()):
+def stochastic_kd(high, low, close, cfg: IndicatorConfig = IndicatorConfig()):
     """(%K, %D): close position in the rolling high/low range, and its SMA."""
-    high, low, close = _hlc(bars)
+    high, low, close = np.asarray([high, low, close], dtype=float)
     w, d = cfg.stoch_window, cfg.stoch_d
     _check_length(len(close), w + d, "stochastic_kd")
     k = np.full(close.shape, np.nan)
@@ -242,9 +242,9 @@ def stochastic_kd(bars, cfg: IndicatorConfig = IndicatorConfig()):
     return k, dee
 
 
-def williams_r(bars, cfg: IndicatorConfig = IndicatorConfig()):
+def williams_r(high, low, close, cfg: IndicatorConfig = IndicatorConfig()):
     """Williams %R on a 0..100 scale: distance of close below the rolling high."""
-    high, low, close = _hlc(bars)
+    high, low, close = np.asarray([high, low, close], dtype=float)
     w = cfg.wr_window
     _check_length(len(close), w, "williams_r")
     out = np.full(close.shape, np.nan)
@@ -263,20 +263,22 @@ def compute_technical_matrix(bars, cfg: IndicatorConfig = IndicatorConfig()) -> 
     verbatim.  NaN marks undefined positions.
     """
     _check_length(len(bars), cfg.min_length, "compute_technical_matrix")
-    closes = np.array([b.close for b in bars], dtype=float)
+    high = np.array([b.high for b in bars], dtype=float)
+    low = np.array([b.low for b in bars], dtype=float)
+    close = np.array([b.close for b in bars], dtype=float)
     volume = np.array([b.volume for b in bars], dtype=float)
-    sma = _sma(closes, cfg.sma_window)
-    bb_width, percent_b = bollinger_features(closes, cfg)
-    macd_line, macd_signal = macd_features(closes, cfg)
-    plus_dmi, minus_dmi, adx = dmi_adx(bars, cfg)
-    k, d = stochastic_kd(bars, cfg)
+    sma = _sma(close, cfg.sma_window)
+    bb_width, percent_b = bollinger_features(close, cfg)
+    macd_line, macd_signal = macd_features(close, cfg)
+    plus_dmi, minus_dmi, adx = dmi_adx(high, low, close, cfg)
+    k, d = stochastic_kd(high, low, close, cfg)
     columns = {
         "Volume": volume,
         "BBWidth": bb_width,
         "PercentB": percent_b,
-        "CCI": cci(bars, cfg),
-        "ROC": roc(closes, cfg),
-        "RSI": rsi(closes, cfg),
+        "CCI": cci(high, low, close, cfg),
+        "ROC": roc(close, cfg),
+        "RSI": rsi(close, cfg),
         "PlusDMI": plus_dmi,
         "MinusDMI": minus_dmi,
         "ADX": adx,
@@ -285,7 +287,7 @@ def compute_technical_matrix(bars, cfg: IndicatorConfig = IndicatorConfig()) -> 
         "MACDSignal": macd_signal,
         "PercentK": k,
         "PercentD": d,
-        "WR": williams_r(bars, cfg),
+        "WR": williams_r(high, low, close, cfg),
     }
     return np.column_stack([columns[name] for name in TECHNICAL_COLUMNS])
 
@@ -295,10 +297,3 @@ def write_technical_csv(path, dates, matrix) -> None:
     write_csv(path, ("date",) + TECHNICAL_COLUMNS,
               ([date] + row for date, row in
                zip(dates, np.asarray(matrix, dtype=float).tolist())))
-
-
-def _hlc(bars):
-    high = np.array([b.high for b in bars], dtype=float)
-    low = np.array([b.low for b in bars], dtype=float)
-    close = np.array([b.close for b in bars], dtype=float)
-    return high, low, close

@@ -8,9 +8,11 @@ rows always cover the same dates.
 
 Every CSV file the package reads or writes goes through
 :func:`read_csv` and :func:`write_csv`.  The format: one header row,
-``\\n`` line ends, floats (numpy floats too) written as ``repr(float(v))``
-so they read back exactly, NaN as an empty field, dates as ISO
-``YYYY-MM-DD``; other values go to the :mod:`csv` module unchanged.
+``\\n`` line ends, NaN as an empty field, and every other value as the
+:mod:`csv` module writes it.  So a Python float or numpy float64 is
+written as its shortest repr, which reads back exactly, and a date as
+ISO ``YYYY-MM-DD``.  A numpy float32 would be written as its own
+shortest repr, not as the float64 it widens to; no writer passes one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ class MarketDataError(ValueError):
     """Malformed or invariant-violating market data."""
 
 
+PRICE_COLUMNS = ("date", "open", "high", "low", "close", "volume")
+
+
 @dataclass(frozen=True)
 class PriceBar:
     """One trading day of OHLCV data."""
@@ -39,18 +44,15 @@ class PriceBar:
     volume: float
 
     def validate(self) -> None:
-        for name in ("open", "high", "low", "close", "volume"):
+        for name in PRICE_COLUMNS[1:]:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise MarketDataError(f"{self.date}: non-finite {name} {value}")
-        if not (self.low <= self.open <= self.high):
-            raise MarketDataError(
-                f"{self.date}: open {self.open} outside [low={self.low}, high={self.high}]"
-            )
-        if not (self.low <= self.close <= self.high):
-            raise MarketDataError(
-                f"{self.date}: close {self.close} outside [low={self.low}, high={self.high}]"
-            )
+        for name in ("open", "close"):
+            value = getattr(self, name)
+            if not (self.low <= value <= self.high):
+                raise MarketDataError(
+                    f"{self.date}: {name} {value} outside [low={self.low}, high={self.high}]")
         if self.volume < 0:
             raise MarketDataError(f"{self.date}: negative volume {self.volume}")
 
@@ -120,15 +122,8 @@ def _parse_float(text: str, where: str, column: str) -> float:
         raise MarketDataError(f"{where}: bad number {text!r} in column {column!r}") from None
 
 
-PRICE_COLUMNS = ("date", "open", "high", "low", "close", "volume")
-
-
 def _field(value):
-    if isinstance(value, (float, np.floating)):
-        return "" if value != value else repr(float(value))
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return value
+    return "" if isinstance(value, (float, np.floating)) and value != value else value
 
 
 def write_csv(path, header, rows) -> None:
@@ -139,6 +134,14 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(map(_field, row) for row in rows)
+
+
+def _check_date_order(where: str, noun: str, day: dt.date, previous: dt.date) -> None:
+    """Reject a row whose ``noun`` date is not after the previous row's."""
+    if day == previous:
+        raise MarketDataError(f"{where}: duplicate {noun} {day}")
+    if day < previous:
+        raise MarketDataError(f"{where}: {noun} {day} not after {previous}")
 
 
 def read_csv(path):
@@ -195,12 +198,7 @@ def load_prices(path) -> list[PriceBar]:
         except MarketDataError as exc:
             raise MarketDataError(f"{where}: {exc}") from None
         if bars:
-            if bar.date == bars[-1].date:
-                raise MarketDataError(f"{where}: duplicate date {bar.date}")
-            if bar.date < bars[-1].date:
-                raise MarketDataError(
-                    f"{where}: date {bar.date} not after {bars[-1].date}"
-                )
+            _check_date_order(where, "date", bar.date, bars[-1].date)
         bars.append(bar)
     return bars
 

@@ -363,6 +363,8 @@ class RnnObjective:
     def states(self, theta):
         if not self.knows(theta):
             try:
+                if not np.isfinite(theta).all():  # with_params would raise ValueError
+                    raise FloatingPointError("non-finite parameter vector")
                 states = forward_states(self.model.with_params(theta), self.data)
             except FloatingPointError as exc:
                 states = exc
@@ -372,8 +374,8 @@ class RnnObjective:
         return self._states
 
     def residuals(self, theta):
-        # Trial points far from the optimum can overflow the forward
-        # pass; report an infinite residual so the step gets rejected.
+        # A non-finite trial point, or one far enough from the optimum to
+        # overflow the forward pass, gets infinite residuals: its step is rejected.
         try:
             preds = self.states(theta)[1]
         except FloatingPointError:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from aeroforecast import fundamentals as fund
 from aeroforecast import indicators as ind
 from aeroforecast import cli, experiments
 from aeroforecast.cli import load_config, main
-from aeroforecast.experiments import ExperimentResult, ExperimentSpec, run_repeat
+from aeroforecast.experiments import (ExperimentResult, ExperimentSpec, GridReport,
+                                      RepeatResult, run_repeat)
 from aeroforecast.market_data import load_prices
 from aeroforecast.seeding import derive_seed
 from aeroforecast.trainers import TrainConfig
@@ -422,3 +424,64 @@ class TestCheckedWhenLoaded:
         assert main(["synth", "--config", str(cfg), "--out", str(out)] + flags) == 2
         assert "jobs" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCompanyFiles:
+    def test_prices_without_fundamentals_rejected(self, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        prices.write_text("date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,1\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[company:Z]\nprices = {prices}\n")
+        assert main(["features", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: Z: prices given without fundamentals\n"
+
+    def test_synth_files_give_the_generator_outputs(self, tmp_path, capsys):
+        """A config naming the files ``synth`` wrote reproduces, byte for
+        byte, what the same seed and label give from the generator."""
+        generated, loaded = tmp_path / "generated", tmp_path / "loaded"
+        (tmp_path / "g").mkdir()
+        (tmp_path / "l").mkdir()
+        cfg = write_config(tmp_path / "g", generated)
+        assert main(["synth", "--config", cfg]) == 0
+        files_cfg = write_config(tmp_path / "l", loaded, extra=(
+            f"prices = {generated / 'ACME' / 'prices.csv'}\n"
+            f"fundamentals = {generated / 'ACME' / 'fundamentals.csv'}\n"))
+        stdout = {}
+        for path in (cfg, files_cfg):
+            capsys.readouterr()
+            for command in ("features", "pca", "train"):
+                assert main([command, "--config", path]) == 0
+            stdout[path] = capsys.readouterr().out
+        assert stdout[cfg] == stdout[files_cfg]
+        written = sorted(p.name for p in (loaded / "ACME").iterdir())
+        assert len(written) == 9
+        assert sorted(p.name for p in (generated / "ACME").iterdir()) == sorted(
+            written + ["prices.csv", "fundamentals.csv"])
+        for name in written:
+            assert (loaded / "ACME" / name).read_bytes() == \
+                (generated / "ACME" / name).read_bytes(), name
+
+
+class TestGridFailures:
+    def test_failed_repeat_exits_1_with_a_manifest(self, tmp_path, monkeypatch, capsys):
+        """A grid whose cell lost a repeat writes every report, names the
+        cell and its error in ``failures.json`` and exits 1."""
+        def fake_grid(bundles, master_seed, cfg=None, template=None, jobs=1):
+            specs = experiments.grid_specs([b.label for b in bundles], master_seed, template)
+            results = [ExperimentResult(spec=spec, repeats=[RepeatResult(seed=spec.base_seed)])
+                       for spec in specs]
+            results[3].repeats.append(RepeatResult(seed=1, error="ValueError: boom"))
+            return GridReport(results=results)
+
+        monkeypatch.setattr(cli, "run_grid", fake_grid)
+        out = tmp_path / "o"
+        assert main(["grid", "--config", write_config(tmp_path, out)]) == 1
+        specs = experiments.grid_specs(["ACME"], 5)
+        manifest = out / "failures.json"
+        assert json.loads(manifest.read_text()) == {
+            experiments.cell_name(specs[3]): ["ValueError: boom"]}
+        captured = capsys.readouterr()
+        assert captured.out == f"grid: 108 cells, 109 runs, 1 cells with failures -> {out}\n"
+        assert captured.err == f"failure manifest: {manifest}\n"
+        assert len(read_rows(out / "grid_results.csv")) == 109
+        assert (out / f"predictions_{experiments.cell_name(specs[3])}.csv").exists()

@@ -9,6 +9,7 @@ averages for a fully failed grid cell, is pinned on its own.
 import dataclasses
 import datetime as dt
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,11 @@ def same_bytes(tmp_path, write_new, write_old):
     write_old(old)
     assert new.read_bytes() == old.read_bytes()
     return new.read_text()
+
+
+def with_error(rows):
+    """(date, target, prediction) rows as the reference writer takes them."""
+    return [(d, t, q, q - t) for d, t, q in rows]
 
 
 def seeded_report(seed, labels=("A", "B")):
@@ -84,11 +90,18 @@ class TestWritersMatchReference:
         days = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(40)]
         targets = rng.lognormal(4, 1, 40)
         preds = targets + rng.standard_normal(40)
-        rows = [(d, t, p, p - t) for d, t, p in zip(days, targets, preds)]
+        rows = list(zip(days, targets, preds))
         assert isinstance(rows[0][1], np.float64)
-        rows += [(d, float(t), float(p), float(p - t)) for d, t, p, _ in rows[:5]]
-        same_bytes(tmp_path, lambda p: write_predictions(p, rows),
-                   lambda p: oracles.write_predictions(p, rows))
+        rows += [(d, float(t), float(p)) for d, t, p in rows[:5]]
+        # The csv module writes a float or float64 as the reference's
+        # repr(float(v)), at the ends of the float range too.
+        edges = [1e16, 1e-5, 5e-324, sys.float_info.max, -0.0, 1 / 3]
+        rows += [(days[0], v, np.float64(v)) for v in edges]
+        rows += [(days[1], np.float64(v), 0.5) for v in edges]
+        text = same_bytes(tmp_path, lambda p: write_predictions(p, rows),
+                          lambda p: oracles.write_predictions(p, with_error(rows)))
+        for written in ("1e+16", "1e-05", "5e-324", "1.7976931348623157e+308", "-0.0"):
+            assert "," + written + "," in text
 
     def test_pca_report_and_scatter(self, tmp_path):
         features = make_bundle("ACME", seed=8, n_days=200).features_for("mixed")
@@ -205,7 +218,7 @@ class TestCliFilesMatchReference:
         spec = dataclasses.replace(rc.experiment, company_label=entry.label, repeats=1,
                                    base_seed=derive_seed(rc.seed, "train", entry.label))
         artifacts = run_repeat(spec, bundle, spec.base_seed, rc.train)
-        rows = [(d, t, p, p - t) for d, t, p in artifacts.prediction_rows]
+        rows = with_error(artifacts.prediction_rows)
         self.check(root, "training_curve.csv",
                    lambda p: oracles.write_training_curve(p, artifacts.record))
         self.check(root, "predictions_ACME.csv", lambda p: oracles.write_predictions(p, rows))

@@ -1,5 +1,5 @@
-"""The package imports only the standard library, numpy and itself, and
-uses every name it imports.
+"""The package imports only the standard library, numpy and itself,
+uses every name it imports, and holds no assert statement.
 
 scipy and other packages may be installed where the tests run, so an
 accidental import of one would pass every other test there and fail
@@ -54,3 +54,11 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == UNUSED_FOR_TRACE.get(path.name, [])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """``python -O`` strips asserts, so one cannot guard behaviour; raise instead."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}"

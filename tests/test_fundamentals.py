@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from aeroforecast.market_data import (MarketDataError, QuarterlyReport,
                                       SyntheticSpec, generate_synthetic)
 
 Q = QuarterlyReport
+
+
+def vector(ratios):
+    """A ratio dict as a row of the quarterly ratio matrix."""
+    return np.array([ratios[name] for name in fund.RATIO_NAMES], dtype=float)
 
 
 def full_statement(scale=1.0):
@@ -31,12 +37,12 @@ class TestComputeRatios:
     def test_roa(self):
         r = fund.compute_ratios(Q(dt.date(2020, 3, 31),
                                   {"net_income": 10.0, "total_assets": 100.0}))
-        assert r.roa == pytest.approx(0.10)
+        assert r["roa"] == pytest.approx(0.10)
 
     def test_equity_ratio(self):
         r = fund.compute_ratios(Q(dt.date(2020, 3, 31),
                                   {"equity": 40.0, "total_assets": 100.0}))
-        assert r.equity_ratio == pytest.approx(0.40)
+        assert r["equity_ratio"] == pytest.approx(0.40)
 
     def test_all_thirteen_match_spreadsheet_oracle(self):
         cur = full_statement()
@@ -64,31 +70,32 @@ class TestComputeRatios:
             "eps": eps,
             "pe_ratio": price / eps,
         }
+        assert tuple(r) == fund.RATIO_NAMES
         for name, want in expected.items():
-            assert getattr(r, name) == pytest.approx(want, abs=1e-12), name
+            assert r[name] == pytest.approx(want, abs=1e-12), name
 
     def test_zero_denominator_yields_missing(self):
         r = fund.compute_ratios(Q(dt.date(2020, 3, 31),
                                   {"net_income": 1.0, "total_assets": 0.0,
                                    "equity": 2.0, "current_assets": 3.0,
                                    "inventory": 1.0, "current_liabilities": 4.0}))
-        assert math.isnan(r.roa)
-        assert math.isnan(r.equity_ratio)  # equity / 0
-        assert r.quick_ratio == pytest.approx(0.5)
+        assert math.isnan(r["roa"])
+        assert math.isnan(r["equity_ratio"])  # equity / 0
+        assert r["quick_ratio"] == pytest.approx(0.5)
 
     def test_growth_missing_without_year_ago(self):
         r = fund.compute_ratios(Q(dt.date(2020, 3, 31), full_statement()))
-        assert math.isnan(r.revenue_growth)
-        assert math.isnan(r.total_assets_growth)
-        assert math.isnan(r.total_debt_growth)
-        assert not math.isnan(r.roa)
+        assert math.isnan(r["revenue_growth"])
+        assert math.isnan(r["total_assets_growth"])
+        assert math.isnan(r["total_debt_growth"])
+        assert not math.isnan(r["roa"])
 
     def test_pe_needs_nonzero_eps(self):
         values = full_statement()
         values["gross_profit"] = values["preferred_dividends"]  # eps == 0
         r = fund.compute_ratios(Q(dt.date(2020, 3, 31), values), market_price=10.0)
-        assert r.eps == 0.0
-        assert math.isnan(r.pe_ratio)
+        assert r["eps"] == 0.0
+        assert math.isnan(r["pe_ratio"])
 
     def test_all_missing_raises(self):
         with pytest.raises(ValueError, match="no ratio"):
@@ -97,8 +104,9 @@ class TestComputeRatios:
     def test_precomputed_ratios_pass_through(self):
         r = fund.ratios_from_report(Q(dt.date(2020, 6, 30),
                                       {"roa": 0.07, "pe_ratio": 21.0}))
-        assert r.roa == 0.07 and r.pe_ratio == 21.0
-        assert math.isnan(r.quick_ratio)
+        assert r["roa"] == 0.07 and r["pe_ratio"] == 21.0
+        assert math.isnan(r["quick_ratio"])
+        assert tuple(r) == fund.RATIO_NAMES
 
 
 class TestInterpolation:
@@ -260,6 +268,19 @@ class TestLoader:
         with pytest.raises(MarketDataError, match="duplicate"):
             fund.load_fundamentals(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("date,roa\n2020-03-31,0.1\n", ": first column must be quarter_end"),
+        ("quarter_end,roa\n2020-06-30,0.1\n2020-03-31,0.2\n",
+         " row 2: quarter end 2020-03-31 not after 2020-06-30"),
+        ("quarter_end,roa\n2020-03-31,0.1\n2020-03-31,0.2\n",
+         " row 2: duplicate quarter end 2020-03-31"),
+    ])
+    def test_rejection_message(self, tmp_path, text, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(MarketDataError, match=re.escape(f"{path}{message}") + "$"):
+            fund.load_fundamentals(path)
+
     @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
         path = tmp_path / "f.csv"
@@ -309,9 +330,9 @@ class TestDailyPipeline:
         assert np.isnan(matrix[0, pe])
         for k, report in enumerate(reports):
             year_ago = reports[k - 4] if k >= 4 else None
-            want = fund.ratios_from_report(
+            want = vector(fund.ratios_from_report(
                 report, market_price=scanned_price(report.quarter_end),
-                year_ago=year_ago).as_vector()
+                year_ago=year_ago))
             assert np.array_equal(matrix[k], want, equal_nan=True)
 
     def test_daily_matrix_complete_on_synthetic(self):
@@ -329,7 +350,7 @@ class TestDailyPipeline:
         for k, report in enumerate(reports):
             want = fund.ratios_from_report(report, price.get(report.quarter_end),
                                            year_ago=reports[k - 4] if k >= 4 else None)
-            want = want.as_vector()
+            want = vector(want)
             assert np.array_equal(matrix[k], want, equal_nan=True), k
 
     def test_missing_quarter_leaves_its_twin_without_growth(self):
@@ -342,8 +363,9 @@ class TestDailyPipeline:
                   ("revenue_growth", "total_assets_growth", "total_debt_growth")]
         for row, k in enumerate(i for i in range(len(reports)) if i != gap):
             year_ago = reports[k - 4] if k >= 4 and k - 4 != gap else None
-            want = fund.ratios_from_report(reports[k], price.get(reports[k].quarter_end),
-                                           year_ago=year_ago).as_vector()
+            want = vector(fund.ratios_from_report(reports[k],
+                                                  price.get(reports[k].quarter_end),
+                                                  year_ago=year_ago))
             assert np.array_equal(matrix[row], want, equal_nan=True), k
             assert np.isnan(matrix[row, growth]).all() == (year_ago is None)
 
@@ -357,5 +379,5 @@ class TestDailyPipeline:
         assert (last.quarter_end - four_back.quarter_end).days in range(268, 315)
         assert abs((last.quarter_end - five_back.quarter_end).days - 365) <= 45
         _, matrix = fund.quarterly_ratio_matrix(reports, bars)
-        want = fund.ratios_from_report(last, bars[-1].close, year_ago=five_back).as_vector()
+        want = vector(fund.ratios_from_report(last, bars[-1].close, year_ago=five_back))
         assert np.array_equal(matrix[-1], want)

@@ -68,7 +68,7 @@ class TestCci:
     def test_constant_bars_missing(self):
         bars = [b for b in make_random_bars(1, n=30)]
         flat = [type(b)(b.date, 5.0, 5.0, 5.0, 5.0, b.volume) for b in bars]
-        assert np.isnan(ind.cci(flat)).all()
+        assert np.isnan(ind.cci(*hlc_of(flat))).all()
 
     def test_zero_numerator(self):
         bars = make_random_bars(2, n=30)
@@ -80,7 +80,7 @@ class TestCci:
         high = 3.0 * sma13 - low - closes[t]
         bars[t] = type(bars[t])(bars[t].date, bars[t].open, high, low,
                                 closes[t], bars[t].volume)
-        assert ind.cci(bars)[t] == pytest.approx(0.0, abs=1e-9)
+        assert ind.cci(*hlc_of(bars))[t] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
     def test_matches_oracle_per_mode(self, mode):
@@ -88,7 +88,7 @@ class TestCci:
         cfg = IndicatorConfig(cci_mode=mode)
         high, low, close = hlc_of(bars)
         expected = oracles.cci_oracle(high, low, close, 13, 0.015, mode)
-        oracles.nan_equal(ind.cci(bars, cfg), expected, 1e-10)
+        oracles.nan_equal(ind.cci(*hlc_of(bars), cfg), expected, 1e-10)
 
 
 class TestRoc:
@@ -152,28 +152,28 @@ class TestDmiAdx:
         for t, b in enumerate(base):
             high = 100.0 + t
             bars.append(type(b)(b.date, 95.0, high, 90.0, 95.0 + t * 0.5, b.volume))
-        _, minus_dmi, _ = ind.dmi_adx(bars)
+        _, minus_dmi, _ = ind.dmi_adx(*hlc_of(bars))
         defined = minus_dmi[~np.isnan(minus_dmi)]
         assert np.allclose(defined, 0.0)
 
     def test_constant_bars_missing(self):
         base = make_random_bars(4, n=40)
         flat = [type(b)(b.date, 5.0, 5.0, 5.0, 5.0, b.volume) for b in base]
-        plus, minus, adx = ind.dmi_adx(flat)
+        plus, minus, adx = ind.dmi_adx(*hlc_of(flat))
         assert np.isnan(plus).all() and np.isnan(minus).all() and np.isnan(adx).all()
 
     def test_matches_wilder_oracle(self):
         bars = make_random_bars(16, n=80)
         high, low, close = hlc_of(bars)
         o_plus, o_minus, o_adx = oracles.dmi_adx_oracle(high, low, close, 14)
-        plus, minus, adx = ind.dmi_adx(bars)
+        plus, minus, adx = ind.dmi_adx(*hlc_of(bars))
         oracles.nan_equal(plus, o_plus, 1e-9)
         oracles.nan_equal(minus, o_minus, 1e-9)
         oracles.nan_equal(adx, o_adx, 1e-9)
 
     @staticmethod
     def assert_bytes_equal_loop_reference(bars, cfg=CFG):
-        for got, want in zip(ind.dmi_adx(bars, cfg), oracles.dmi_adx(bars, cfg)):
+        for got, want in zip(ind.dmi_adx(*hlc_of(bars), cfg), oracles.dmi_adx(bars, cfg)):
             assert got.tobytes() == want.tobytes()
 
     def test_bytes_equal_loop_reference_on_seeded_bars(self):
@@ -233,7 +233,7 @@ class TestStochastic:
         hi = max(b.high for b in bars[t - 8:t + 1])
         bars[t] = type(bars[t])(bars[t].date, bars[t].open, hi,
                                 bars[t].low, hi, bars[t].volume)
-        k, _ = ind.stochastic_kd(bars)
+        k, _ = ind.stochastic_kd(*hlc_of(bars))
         assert k[t] == pytest.approx(100.0)
 
     def test_close_at_window_low(self):
@@ -242,14 +242,14 @@ class TestStochastic:
         lo = min(b.low for b in bars[t - 8:t + 1])
         bars[t] = type(bars[t])(bars[t].date, bars[t].open, bars[t].high,
                                 lo, lo, bars[t].volume)
-        k, _ = ind.stochastic_kd(bars)
+        k, _ = ind.stochastic_kd(*hlc_of(bars))
         assert k[t] == pytest.approx(0.0)
 
     def test_matches_windowed_oracle(self):
         bars = make_random_bars(18, n=60)
         high, low, close = hlc_of(bars)
         o_k, o_d = oracles.stochastic_oracle(high, low, close, 9, 3)
-        k, d = ind.stochastic_kd(bars)
+        k, d = ind.stochastic_kd(*hlc_of(bars))
         oracles.nan_equal(k, o_k, 1e-10)
         oracles.nan_equal(d, o_d, 1e-10)
 
@@ -261,7 +261,7 @@ class TestWilliamsR:
         hi = max(b.high for b in bars[t - 13:t + 1])
         bars[t] = type(bars[t])(bars[t].date, bars[t].open, hi,
                                 bars[t].low, hi, bars[t].volume)
-        assert ind.williams_r(bars)[t] == pytest.approx(0.0)
+        assert ind.williams_r(*hlc_of(bars))[t] == pytest.approx(0.0)
 
     def test_close_at_low_is_100(self):
         bars = make_random_bars(8, n=30)
@@ -269,12 +269,12 @@ class TestWilliamsR:
         lo = min(b.low for b in bars[t - 13:t + 1])
         bars[t] = type(bars[t])(bars[t].date, bars[t].open, bars[t].high,
                                 lo, lo, bars[t].volume)
-        assert ind.williams_r(bars)[t] == pytest.approx(100.0)
+        assert ind.williams_r(*hlc_of(bars))[t] == pytest.approx(100.0)
 
     def test_matches_windowed_oracle(self):
         bars = make_random_bars(19, n=60)
         high, low, close = hlc_of(bars)
-        oracles.nan_equal(ind.williams_r(bars),
+        oracles.nan_equal(ind.williams_r(*hlc_of(bars)),
                           oracles.williams_oracle(high, low, close, 14), 1e-10)
 
 
@@ -299,14 +299,14 @@ class TestTechnicalMatrix:
         sma = ind._sma(closes, CFG.sma_window)
         width, pb = ind.bollinger_features(closes)
         line, sig = ind.macd_features(closes)
-        plus, minus, adx = ind.dmi_adx(bars)
-        k, d = ind.stochastic_kd(bars)
+        plus, minus, adx = ind.dmi_adx(*hlc_of(bars))
+        k, d = ind.stochastic_kd(*hlc_of(bars))
         expected = {
-            "BBWidth": width, "PercentB": pb, "CCI": ind.cci(bars),
+            "BBWidth": width, "PercentB": pb, "CCI": ind.cci(*hlc_of(bars)),
             "ROC": ind.roc(closes), "RSI": ind.rsi(closes),
             "PlusDMI": plus, "MinusDMI": minus, "ADX": adx, "SMA": sma,
             "MACDLine": line, "MACDSignal": sig, "PercentK": k,
-            "PercentD": d, "WR": ind.williams_r(bars),
+            "PercentD": d, "WR": ind.williams_r(*hlc_of(bars)),
         }
         for name, series in expected.items():
             got = matrix[:, names.index(name)]

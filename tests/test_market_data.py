@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,33 @@ class TestLoadPrices:
         path.write_bytes((self.HEADER + "2020-01-02,10,11,9,10.5,1000\n")
                          .replace("\n", "\r\n").encode())
         assert len(load_prices(str(path))) == 1
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2020-01-02,10,11,9,10.5,1000\n2020-13-02,10,11,9,10.5,1000\n",
+         "row 2: bad date '2020-13-02' (want YYYY-MM-DD)"),
+        ("2020-01-02,10,11,9,10.5,1000\n2020-01-03,10,11,9,12,1000\n",
+         "row 2: 2020-01-03: close 12.0 outside [low=9.0, high=11.0]"),
+        ("2020-01-02,10,11,9,10.5,1000\n2020-01-03,10,11,9,10.5\n",
+         "row 2: expected 6 fields, got 5"),
+        ("2020-01-02,10,11,9,10.5,1000\n2020-01-02,10,11,9,10.6,1000\n",
+         "row 2: duplicate date 2020-01-02"),
+        ("2020-01-03,10,11,9,10.5,1000\n2020-01-02,10,11,9,10.6,1000\n",
+         "row 2: date 2020-01-02 not after 2020-01-03"),
+    ])
+    def test_bad_row_message_names_the_row(self, tmp_path, rows, message):
+        path = write_csv(tmp_path / "p.csv", self.HEADER + rows)
+        with pytest.raises(MarketDataError, match=re.escape(f"{path} {message}") + "$"):
+            load_prices(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        (HEADER, "no data rows"),
+        (HEADER + "\n\n", "no data rows"),
+    ])
+    def test_file_without_rows(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "p.csv", text)
+        with pytest.raises(MarketDataError, match=re.escape(f"{path}: {message}") + "$"):
+            load_prices(path)
 
     def test_synthetic_roundtrip_1260(self, tmp_path):
         bars, _ = generate_synthetic(SyntheticSpec(seed=9, n_days=1260))
@@ -205,6 +233,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(seed=1, n_days=10)
         with pytest.raises(ValueError, match="volatility"):
             SyntheticSpec(seed=1, n_days=100, volatility=-0.1)
+        with pytest.raises(ValueError, match="^unknown quarterly_pattern 'weekly'$"):
+            SyntheticSpec(seed=1, n_days=100, quarterly_pattern="weekly")
 
     def test_different_patterns_differ(self):
         flat = generate_synthetic(SyntheticSpec(seed=3, n_days=300,
@@ -218,6 +248,15 @@ class TestPriceBarValidation:
     def test_open_outside_range(self):
         bar = PriceBar(dt.date(2020, 1, 2), 12.0, 11.0, 9.0, 10.0, 1.0)
         with pytest.raises(MarketDataError, match="open"):
+            bar.validate()
+
+    @pytest.mark.parametrize("open_, close, message", [
+        (12.0, 10.0, "2020-01-02: open 12.0 outside [low=9.0, high=11.0]"),
+        (10.0, 8.5, "2020-01-02: close 8.5 outside [low=9.0, high=11.0]"),
+    ])
+    def test_outside_range_message(self, open_, close, message):
+        bar = PriceBar(dt.date(2020, 1, 2), open_, 11.0, 9.0, close, 1.0)
+        with pytest.raises(MarketDataError, match=re.escape(message) + "$"):
             bar.validate()
 
     def test_negative_volume(self):

@@ -325,6 +325,25 @@ class TestRnnObjective:
         assert np.array_equal(obj.residuals(theta),
                               forward(model, data)[:20] - data.targets[:20])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_trial_point_gives_infinite_residual(self, bad):
+        """A non-finite parameter vector is rejected like an overflowing
+        one, not raised as the model's ValueError, which would fail the
+        whole repeat."""
+        model = init_rnn(2, 3, 1, seed=33)
+        data = noisy_dataset(34, T=30)
+        obj = RnnObjective(model, data, np.arange(20), np.arange(20, 30))
+        theta = model.params_to_vector()
+        trial = theta.copy()
+        trial[0] = bad
+        r = obj.residuals(trial)
+        assert r.shape == (20,) and np.isinf(r).all()
+        assert obj.train_mse(trial) == math.inf
+        with pytest.raises(FloatingPointError):
+            obj.states(trial)
+        assert np.array_equal(obj.residuals(theta),
+                              forward(model, data)[:20] - data.targets[:20])
+
 
 class TestEpochLog:
     def test_patience_counts_consecutive_increases(self):
