@@ -165,8 +165,8 @@ def interpolate_quarterly_to_daily(quarters, trading_days) -> np.ndarray:
     for a, b in zip(q_dates, q_dates[1:]):
         if b <= a:
             raise ValueError(f"quarter ends not strictly increasing at {b}")
-    knots = np.array(q_dates, dtype="datetime64[D]").astype(np.int64)
-    days = np.array(trading_days, dtype="datetime64[D]").astype(np.int64)
+    knots = np.array([d.toordinal() for d in q_dates])
+    days = np.array([d.toordinal() for d in trading_days])
     outside = np.flatnonzero((days < knots[0]) | (days > knots[-1]))
     if outside.size:
         shown = ", ".join(str(trading_days[i]) for i in outside[:5])

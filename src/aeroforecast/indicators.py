@@ -79,16 +79,17 @@ def _sma(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def _ema(values: np.ndarray, window: int) -> np.ndarray:
-    """EMA with multiplier 2/(n+1), seeded by the SMA of the first n values."""
+    """EMA with multiplier 2/(n+1), seeded by the SMA of the first n values.
+
+    The recursion runs on Python floats: the same binary64 operations as
+    on numpy scalars, without a numpy call per day."""
     out = np.full(values.shape, np.nan)
     if len(values) < window:
         return out
     alpha = 2.0 / (window + 1.0)
     level = float(np.mean(values[:window]))
     out[window - 1] = level
-    for t in range(window, len(values)):
-        level += alpha * (values[t] - level)
-        out[t] = level
+    out[window:] = [level := level + alpha * (x - level) for x in values[window:].tolist()]
     return out
 
 
@@ -97,7 +98,8 @@ def _wilder(values: np.ndarray, window: int, first: int) -> np.ndarray:
 
     ``values`` is defined from index ``first``; the smoothed series is
     seeded with the arithmetic mean of the first ``window`` defined
-    values and is NaN before that.
+    values and is NaN before that.  The recursion runs on Python floats,
+    with the same binary64 operations as on numpy scalars.
     """
     out = np.full(values.shape, np.nan)
     start = first + window - 1
@@ -105,9 +107,8 @@ def _wilder(values: np.ndarray, window: int, first: int) -> np.ndarray:
         return out
     level = float(np.mean(values[first:start + 1]))
     out[start] = level
-    for t in range(start + 1, len(values)):
-        level += (values[t] - level) / window
-        out[t] = level
+    out[start + 1:] = [level := level + (x - level) / window
+                       for x in values[start + 1:].tolist()]
     return out
 
 

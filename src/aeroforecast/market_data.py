@@ -13,12 +13,20 @@ Every CSV file the package reads or writes goes through
 written as its shortest repr, which reads back exactly, and a date as
 ISO ``YYYY-MM-DD``.  A numpy float32 would be written as its own
 shortest repr, not as the float64 it widens to; no writer passes one.
+
+:func:`write_csv` joins each row's ``str`` values with commas and writes
+that line itself only when it is exactly what :mod:`csv` writes for the
+row: the line is non-empty, has one comma fewer than the row has fields,
+and contains none of ``nan``, ``None``, ``"``, ``\\r`` or ``\\n``.  Every
+other row (NaN, None, a lone empty string, a string that needs quoting)
+goes through :func:`csv.writer`.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +52,10 @@ class PriceBar:
     volume: float
 
     def validate(self) -> None:
+        # Finite and in range, in one pass: NaN fails every comparison.
+        if (-math.inf < self.low <= self.open <= self.high < math.inf
+                and self.low <= self.close <= self.high and 0.0 <= self.volume < math.inf):
+            return
         for name in PRICE_COLUMNS[1:]:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -127,13 +139,20 @@ def _field(value):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then ``rows`` (iterables of values) in the
+    """Write ``header`` and then ``rows`` (sequences of values) in the
     package's CSV format (module docstring).  Convert numpy matrices
     with ``.tolist()`` first: formatting Python floats is much faster."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(_field, row) for row in rows)
+        for row in rows:
+            line = ",".join(map(str, row))
+            if (line and line.count(",") == len(row) - 1 and "nan" not in line
+                    and "None" not in line and '"' not in line
+                    and "\r" not in line and "\n" not in line):
+                fh.write(line + "\n")
+            else:
+                writer.writerow(map(_field, row))
 
 
 def _check_date_order(where: str, noun: str, day: dt.date, previous: dt.date) -> None:
@@ -185,14 +204,17 @@ def load_prices(path) -> list[PriceBar]:
         )
     bars: list[PriceBar] = []
     for where, row in rows:
-        bar = PriceBar(
-            date=_parse_date(row[0], where),
-            open=_parse_float(row[1], where, "open"),
-            high=_parse_float(row[2], where, "high"),
-            low=_parse_float(row[3], where, "low"),
-            close=_parse_float(row[4], where, "close"),
-            volume=_parse_float(row[5], where, "volume"),
-        )
+        try:
+            bar = PriceBar(dt.date.fromisoformat(row[0].strip()), *map(float, row[1:]))
+        except ValueError:  # parse field by field again, for the message
+            bar = PriceBar(
+                date=_parse_date(row[0], where),
+                open=_parse_float(row[1], where, "open"),
+                high=_parse_float(row[2], where, "high"),
+                low=_parse_float(row[3], where, "low"),
+                close=_parse_float(row[4], where, "close"),
+                volume=_parse_float(row[5], where, "volume"),
+            )
         try:
             bar.validate()
         except MarketDataError as exc:
@@ -235,8 +257,9 @@ def clean_and_align(bars, technical, technical_names, fundamental,
     if not keep.any():
         raise MarketDataError("no rows survive cleaning")
 
-    dates = tuple(b.date for i, b in enumerate(bars) if keep[i])
-    target = np.array([b.close for i, b in enumerate(bars) if keep[i]], dtype=float)
+    kept = list(itertools.compress(bars, keep.tolist()))
+    dates = tuple(b.date for b in kept)
+    target = np.array([b.close for b in kept], dtype=float)
     features = np.hstack([technical[keep], fundamental[keep]])
     return AlignedDataset(
         dates=dates,

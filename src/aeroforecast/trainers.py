@@ -160,13 +160,6 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
                   train_mse=objective_fn, gradient=gradient_fn, val_mse=val_fn)
 
 
-def _plus_diagonal(A, c):
-    """A + c I, without forming I."""
-    out = A.copy()
-    out[np.diag_indices_from(out)] += c
-    return out
-
-
 def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
     """Minimize F = beta*SSE + alpha*|theta|^2 with damped Gauss-Newton
     steps: solve (beta J'J + (alpha + mu) I) d = -(beta J'e + alpha theta).
@@ -204,10 +197,13 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
             rec.stop_reason = "converged"
             break
         A *= beta  # in place: a scaled copy would add a P x P array
+        diag = np.diag_indices_from(A)
+        d = A[diag]  # each trial damps this diagonal in place, copying no P x P array
         f_cur = beta * sse + alpha * float(theta @ theta)
         while mu <= cfg.mu_max:
+            A[diag] = d + (alpha + mu)
             try:
-                delta = np.linalg.solve(_plus_diagonal(A, alpha + mu), -g)
+                delta = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
@@ -239,7 +235,8 @@ def _evidence_update(A, theta, sse, n, alpha, beta, mu, rec):
     try:
         trace_inv = float(np.trace(np.linalg.inv(H)))
     except np.linalg.LinAlgError:
-        trace_inv = float(np.trace(np.linalg.inv(_plus_diagonal(H, mu))))
+        H[np.diag_indices_from(H)] += mu
+        trace_inv = float(np.trace(np.linalg.inv(H)))
         rec.notes.append("damped ill-conditioned Hessian in evidence update")
     gamma = n_params - 2.0 * alpha * trace_inv
     if gamma < 0.0 or gamma > n_params:

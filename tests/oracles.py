@@ -287,6 +287,39 @@ def interpolate_quarterly_to_daily(quarters, trading_days):
 
 
 # ---------------------------------------------------------------------------
+# The EMA and Wilder recursions as the library wrote them, indexing numpy
+# scalars one day at a time, before they ran on Python floats; kept as
+# the reference for byte-identical output.
+# ---------------------------------------------------------------------------
+
+
+def ema(values, window):
+    out = np.full(values.shape, np.nan)
+    if len(values) < window:
+        return out
+    alpha = 2.0 / (window + 1.0)
+    level = float(np.mean(values[:window]))
+    out[window - 1] = level
+    for t in range(window, len(values)):
+        level += alpha * (values[t] - level)
+        out[t] = level
+    return out
+
+
+def wilder(values, window, first):
+    out = np.full(values.shape, np.nan)
+    start = first + window - 1
+    if start >= len(values):
+        return out
+    level = float(np.mean(values[first:start + 1]))
+    out[start] = level
+    for t in range(start + 1, len(values)):
+        level += (values[t] - level) / window
+        out[t] = level
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Recurrent network and calculus oracles
 # ---------------------------------------------------------------------------
 
@@ -837,6 +870,18 @@ def train_alone(model, data, train_idx, val_idx, cfg: TrainConfig):
 # output.  The three CLI files were written inline by the commands; their
 # statements are wrapped in functions here.
 # ---------------------------------------------------------------------------
+
+
+def write_csv(path, header, rows) -> None:
+    """``market_data.write_csv`` before it joined rows itself: every row
+    through :func:`csv.writer`, with NaN mapped to an empty field."""
+    def field(value):
+        return "" if isinstance(value, (float, np.floating)) and value != value else value
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(field, row) for row in rows)
 
 
 def write_prices(path, bars) -> None:

@@ -6,6 +6,7 @@ commands that produce the files.  The one intended difference, empty
 averages for a fully failed grid cell, is pinned on its own.
 """
 
+import csv
 import dataclasses
 import datetime as dt
 import math
@@ -222,6 +223,71 @@ class TestCliFilesMatchReference:
         self.check(root, "training_curve.csv",
                    lambda p: oracles.write_training_curve(p, artifacts.record))
         self.check(root, "predictions_ACME.csv", lambda p: oracles.write_predictions(p, rows))
+
+
+# Rows the one-join path must hand to csv.writer: each trips exactly one
+# of write_csv's fallback conditions.
+FALLBACK_ROWS = [
+    [math.nan, 1.0],        # "nan"
+    [np.float64("nan"), 2],  # "nan"
+    ["banana", 3],          # "nan" inside a string: same bytes either way
+    [None, 4],              # "None"
+    [""],                   # empty line: csv writes ""
+    ["a,b", 5],             # one comma too many
+    ['say "hi"', 6],        # a quote
+    ["a\rb", 7],            # carriage return
+    ["a\nb", 8],            # line feed
+]
+
+# Rows whose joined str values are exactly what csv.writer writes.
+JOIN_ROWS = [
+    [0.1, -0.0, math.inf, -math.inf, 1e16, 5e-324, 1e-5, sys.float_info.max, 1 / 3],
+    [np.float64(0.1), np.float64(-2.5e17), np.float64(-0.0), np.float64(1 / 3)],
+    [np.float32(0.1), np.float32(1 / 3), np.float32(-1e-7), np.float32(3e38)],
+    [7, -3, 0, np.int64(-9), np.int64(2**62)],
+    [True, False, np.True_],
+    [dt.date(2021, 2, 3), dt.date(1999, 12, 31), "x", 1.5],
+    ["", 1.0],
+]
+
+
+class TestWriteCsvJoinPath:
+    """``write_csv`` joins a row itself only where csv.writer would write
+    the same line, and hands every other row to csv.writer."""
+
+    @pytest.fixture
+    def writer_rows(self, monkeypatch):
+        """Rows that reach csv.writer, header included."""
+        seen = []
+        real = csv.writer
+
+        class Recording:
+            def __init__(self, fh, **kwargs):
+                self.writer = real(fh, **kwargs)
+
+            def writerow(self, row):
+                row = list(row)
+                seen.append(row)
+                return self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", Recording)
+        return seen
+
+    @pytest.mark.parametrize("rows", [FALLBACK_ROWS, JOIN_ROWS, FALLBACK_ROWS + JOIN_ROWS,
+                                      [r for pair in zip(JOIN_ROWS, FALLBACK_ROWS)
+                                       for r in pair]])
+    def test_same_bytes_as_csv_writer(self, tmp_path, rows):
+        same_bytes(tmp_path, lambda p: write_csv(p, ["h"], rows),
+                   lambda p: oracles.write_csv(p, ["h"], rows))
+
+    @pytest.mark.parametrize("row", FALLBACK_ROWS, ids=repr)
+    def test_fallback_rows_go_through_csv_writer(self, tmp_path, writer_rows, row):
+        write_csv(tmp_path / "f.csv", ["h"], [row])
+        assert len(writer_rows) == 2  # the header, then the row
+
+    def test_join_rows_do_not(self, tmp_path, writer_rows):
+        write_csv(tmp_path / "j.csv", ["h"], JOIN_ROWS)
+        assert writer_rows == [["h"]]
 
 
 class TestReadCsv:

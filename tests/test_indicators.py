@@ -39,6 +39,45 @@ class TestMovingAverages:
         oracles.nan_equal(ind._ema(closes, 26), oracles.ema_oracle(list(closes), 26), 1e-12)
 
 
+def walk(seed, n=300):
+    return 50.0 + np.cumsum(np.random.default_rng(seed).standard_normal(n))
+
+
+def same_smoothing(values, window, first=0):
+    """``_ema`` and ``_wilder`` against the per-index loops they replaced."""
+    assert ind._ema(values, window).tobytes() == oracles.ema(values, window).tobytes()
+    assert (ind._wilder(values, window, first).tobytes()
+            == oracles.wilder(values, window, first).tobytes())
+
+
+class TestSmoothingMatchesPerIndexLoops:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("window", [1, 3, 12, 26])
+    def test_seeded_walk(self, seed, window):
+        same_smoothing(walk(seed), window)
+
+    @pytest.mark.parametrize("first", [1, 9])
+    def test_nan_prefix(self, first):
+        values = walk(3)
+        values[:first] = np.nan
+        same_smoothing(values, 14, first)
+        assert np.isnan(ind._wilder(values, 14, first)[:first + 13]).all()
+        assert np.isfinite(ind._wilder(values, 14, first)[first + 13:]).all()
+
+    def test_nan_after_the_seed(self):
+        # As in dx, a zero DMI sum leaves a NaN after the seed, which the
+        # recursion carries to the end.
+        values = walk(4)
+        values[[40, 41, 200]] = np.nan
+        same_smoothing(values, 14, 1)
+        assert np.isnan(ind._wilder(values, 14, 1)[40:]).all()
+
+    @pytest.mark.parametrize("n", [14, 13, 1])
+    def test_window_at_or_past_the_length(self, n):
+        same_smoothing(walk(5, n), 14)
+        same_smoothing(walk(5, n), 14, first=1)
+
+
 class TestBollinger:
     def test_constant_series(self):
         width, pb = ind.bollinger_features(np.full(30, 5.0))

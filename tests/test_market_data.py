@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import math
 import re
 
@@ -99,6 +100,23 @@ class TestLoadPrices:
          "row 2: date 2020-01-02 not after 2020-01-03"),
     ])
     def test_bad_row_message_names_the_row(self, tmp_path, rows, message):
+        path = write_csv(tmp_path / "p.csv", self.HEADER + rows)
+        with pytest.raises(MarketDataError, match=re.escape(f"{path} {message}") + "$"):
+            load_prices(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2020-01-02,10,11,9,10.5,1000\n2020-01-03,10,11,9,10.5,1000\n"
+         "2020-01-06,10,11,9,oops,1000\n2020-01-07,10,11,9,10.5,1000\n"
+         "2020-13-08,10,11,9,10.5,1000\n",
+         "row 3: bad number 'oops' in column 'close'"),
+        ("2020-01-0x,10,11,9,oops,1000\n",
+         "row 1: bad date '2020-01-0x' (want YYYY-MM-DD)"),
+        ("2020-01-02,x,11,9,10.5,y\n",
+         "row 1: bad number 'x' in column 'open'"),
+        ("2020-01-02,nan,8,9,10.5,1000\n",
+         "row 1: 2020-01-02: non-finite open nan"),
+    ])
+    def test_first_fault_in_row_order(self, tmp_path, rows, message):
         path = write_csv(tmp_path / "p.csv", self.HEADER + rows)
         with pytest.raises(MarketDataError, match=re.escape(f"{path} {message}") + "$"):
             load_prices(path)
@@ -273,6 +291,21 @@ class TestPriceBarValidation:
         bar = PriceBar(dt.date(2020, 1, 2), 10.0, 11.0, 9.0, 10.0, math.nan)
         with pytest.raises(MarketDataError, match="non-finite volume"):
             bar.validate()
+
+    def test_rejects_exactly_the_invalid_bars(self):
+        # Every combination of special and ordered values: validate accepts
+        # a bar iff all five numbers are finite, open and close lie in
+        # [low, high] and volume is not negative.
+        values = (math.nan, -math.inf, math.inf, -1.0, 0.0, 1.0, 2.0)
+        for o, h, lo, c, v in itertools.product(values, repeat=5):
+            valid = (all(map(math.isfinite, (o, h, lo, c, v)))
+                     and lo <= o <= h and lo <= c <= h and v >= 0.0)
+            bar = PriceBar(dt.date(2020, 1, 2), o, h, lo, c, v)
+            if valid:
+                bar.validate()
+            else:
+                with pytest.raises(MarketDataError):
+                    bar.validate()
 
 
 class TestAlignedDataset:
