@@ -18,12 +18,12 @@ all repeats' requests with stacked kernel calls, through one caching
 A run stops with ``stop_reason`` "converged" (gradient norm below
 ``grad_tol``, or a zero SCG search direction), "damping_overflow" (no
 improving step: LM/BR's mu passed ``mu_max``, or SCG's lambda passed
-1e20), "val_patience" or "max_epochs".
+1e20), "val_patience" or "max_epochs" (the epoch budget ran out).
 
-Epochs are 1-based; the loop records train and validation MSE at the
-top of every epoch, so an already-optimal start converges at epoch 1.
-Every trainer returns the weights of the epoch with the lowest recorded
-validation MSE (lowest train MSE when there is no validation set).
+Epochs are 1-based and each logs its train and validation MSE first, so
+an already-optimal start converges at epoch 1, and the budget's last
+epoch takes no step.  Every trainer returns the weights of the epoch
+with the lowest logged validation MSE (train MSE without a validation set).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TrainRecord:
     # Objective change of every accepted step (negative by construction;
     # SCG allows zero).  LM/SCG: SSE/MSE change; BR: change of F.
     step_deltas: list = field(default_factory=list)
-    gammas: list = field(default_factory=list)  # BR effective parameter counts
+    gammas: list = field(default_factory=list)  # BR: gamma of each re-estimation before a step
     notes: list = field(default_factory=list)
 
 
@@ -145,8 +145,8 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
 def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                      val_fn=None, n_samples=None) -> tuple[np.ndarray, TrainRecord]:
     """Bayesian-regularized LM: the damped Gauss-Newton core from
-    (alpha, beta) = (0, 1), re-estimated by :func:`_evidence_update` after
-    every accepted step with N = ``n_samples`` (default: the residual
+    (alpha, beta) = (0, 1), re-estimated by :func:`_evidence_update` before
+    every step but the first with N = ``n_samples`` (default: the residual
     count).  Validation stops training only with ``cfg.br_val_stop``."""
     return _drive(_damped_gauss_newton(theta0, cfg, True, val_fn is not None, n_samples),
                   residuals=residual_fn, jacobian=jacobian_fn, val_mse=val_fn)
@@ -166,32 +166,32 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
 
     A step is accepted only if it strictly decreases F (mu shrinks);
     otherwise mu grows and the step is retried within the same epoch.
-    With ``bayesian``, (alpha, beta) are re-estimated at the top of the
-    epoch after each accepted step, before that epoch is logged.
-    Between requests the core holds J'J, not J."""
+    With ``bayesian``, (alpha, beta) are re-estimated in every epoch
+    after the first, once it is logged and before its step; the budget's
+    last epoch is logged only.  Between requests the core holds J'J, not J."""
     theta = np.array(theta0, dtype=float)
     alpha, beta = 0.0, 1.0
     mu = cfg.mu0
     log = _EpochLog(cfg.val_patience if cfg.br_val_stop or not bayesian else None)
     rec = log.record
-    reestimate = False
-    while rec.total_epochs < cfg.max_epochs:
+    while True:
         r = yield "residuals", theta
         if not np.all(np.isfinite(r)):
             raise FloatingPointError(
                 f"non-finite residuals during {'BR' if bayesian else 'LM'} training")
         sse = float(r @ r)
-        J = yield "jacobian", theta
-        A, Jr = J.T @ J, J.T @ r
-        del J
-        if reestimate:
-            n = n_samples if n_samples is not None else len(r)
-            alpha, beta = _evidence_update(A, theta, sse, n, alpha, beta, mu, rec)
-            reestimate = False
         val = (yield "val_mse", theta) if has_val else None
         if log.log(sse / len(r), theta, val):
             rec.stop_reason = "val_patience"
             break
+        if rec.total_epochs >= cfg.max_epochs:
+            break  # a step now would never be logged or returned
+        J = yield "jacobian", theta
+        A, Jr = J.T @ J, J.T @ r
+        del J
+        if bayesian and rec.total_epochs > 1:  # every epoch after the first follows a step
+            n = n_samples if n_samples is not None else len(r)
+            alpha, beta = _evidence_update(A, theta, sse, n, alpha, beta, mu, rec)
         g = beta * Jr + alpha * theta  # half the gradient of F
         if np.linalg.norm(2.0 * g) < cfg.grad_tol:
             rec.stop_reason = "converged"
@@ -214,7 +214,6 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
                 theta = trial
                 mu = max(mu * cfg.mu_dec, 1e-300)
                 rec.step_deltas.append(f_trial - f_cur)
-                reestimate = bayesian
                 break
             mu *= cfg.mu_inc
         else:
@@ -226,22 +225,24 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
 
 def _evidence_update(A, theta, sse, n, alpha, beta, mu, rec):
     """MacKay's re-estimation: gamma = P - 2 alpha tr(H^-1), H = 2 beta J'J
-    + 2 alpha I, clamped into [0, P] and appended to ``rec.gammas``; returns
-    alpha = gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE), both
-    floored at 1e-12.  An ill-conditioned H gets LM damping."""
+    + 2 alpha I (P with no inverse at alpha = 0; LM damping for a singular
+    H), clamped into [0, P] and appended to ``rec.gammas``; returns alpha =
+    gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE), both >= 1e-12."""
     n_params = theta.size
-    H = 2.0 * beta * A
-    H[np.diag_indices_from(H)] += 2.0 * alpha
-    try:
-        trace_inv = float(np.trace(np.linalg.inv(H)))
-    except np.linalg.LinAlgError:
-        H[np.diag_indices_from(H)] += mu
-        trace_inv = float(np.trace(np.linalg.inv(H)))
-        rec.notes.append("damped ill-conditioned Hessian in evidence update")
-    gamma = n_params - 2.0 * alpha * trace_inv
-    if gamma < 0.0 or gamma > n_params:
-        rec.notes.append(f"gamma {gamma:.6g} clamped into [0, {n_params}]")
-        gamma = min(max(gamma, 0.0), float(n_params))
+    gamma = float(n_params)
+    if alpha != 0.0:
+        H = 2.0 * beta * A
+        H[np.diag_indices_from(H)] += 2.0 * alpha
+        try:
+            trace_inv = float(np.trace(np.linalg.inv(H)))
+        except np.linalg.LinAlgError:
+            H[np.diag_indices_from(H)] += mu
+            trace_inv = float(np.trace(np.linalg.inv(H)))
+            rec.notes.append("damped ill-conditioned Hessian in evidence update")
+        gamma -= 2.0 * alpha * trace_inv
+        if gamma < 0.0 or gamma > n_params:
+            rec.notes.append(f"gamma {gamma:.6g} clamped into [0, {n_params}]")
+            gamma = min(max(gamma, 0.0), float(n_params))
     rec.gammas.append(gamma)
     weight_norm = float(theta @ theta)
     alpha = max(gamma / (2.0 * max(weight_norm, 1e-300)), 1e-12)
@@ -266,27 +267,26 @@ def _scaled_conjugate_gradient(theta0, cfg, has_val):
     p = r.copy()
     success = True
     f_cur = float((yield "train_mse", theta))
-    delta = p_norm2 = 1.0  # overwritten on the first success pass
+    delta = 1.0  # overwritten on the first success pass
     k = 0
     log = _EpochLog(cfg.val_patience)
     rec = log.record
-    while rec.total_epochs < cfg.max_epochs:
+    while True:
         val = (yield "val_mse", theta) if has_val else None
         if log.log(f_cur, theta, val):
             rec.stop_reason = "val_patience"
             break
-        if np.linalg.norm(r) < cfg.grad_tol:
+        p_norm2 = float(p @ p)
+        if np.linalg.norm(r) < cfg.grad_tol or p_norm2 == 0.0:
             rec.stop_reason = "converged"
             break
         if lam > 1e20:
             rec.stop_reason = "damping_overflow"  # step size underflow: no progress possible
             rec.notes.append("lambda overflow; no improving step found")
             break
+        if rec.total_epochs >= cfg.max_epochs:
+            break  # a step now would never be logged or returned
         if success:
-            p_norm2 = float(p @ p)
-            if p_norm2 == 0.0:
-                rec.stop_reason = "converged"
-                break
             sigma_k = cfg.scg_sigma / math.sqrt(p_norm2)
             s = ((yield "gradient", theta + sigma_k * p) - (-r)) / sigma_k
             delta = float(p @ s)

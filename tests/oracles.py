@@ -491,6 +491,8 @@ def jacobi_eigh(matrix, sweeps=100):
 # kept as the reference for the shared damped Gauss-Newton core in
 # ``aeroforecast.trainers``: same inputs, same records, same weights.
 # They share only the per-epoch bookkeeping (``_EpochLog``) with it.
+# Like the core, each logs an epoch before forming its Jacobian, and the
+# last epoch of the budget is logged only: its step would not be returned.
 # ---------------------------------------------------------------------------
 
 
@@ -506,7 +508,7 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     log = _EpochLog(cfg.val_patience)
     rec = log.record
     started = time.perf_counter()
-    while rec.total_epochs < cfg.max_epochs:
+    while True:
         r = residual_fn(theta)
         if not np.all(np.isfinite(r)):
             raise FloatingPointError("non-finite residuals during LM training")
@@ -514,6 +516,8 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
         if log.log(sse / len(r), theta, val_fn(theta) if val_fn else None):
             rec.stop_reason = "val_patience"
             break
+        if rec.total_epochs >= cfg.max_epochs:
+            break  # the last epoch takes no step
         J = jacobian_fn(theta)
         g = 2.0 * (J.T @ r)
         if np.linalg.norm(g) < cfg.grad_tol:
@@ -565,12 +569,17 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     rec = log.record
     reestimate = False
     started = time.perf_counter()
-    while rec.total_epochs < cfg.max_epochs:
+    while True:
         r = residual_fn(theta)
         if not np.all(np.isfinite(r)):
             raise FloatingPointError("non-finite residuals during BR training")
-        J = jacobian_fn(theta)
         sse = float(r @ r)
+        if log.log(sse / len(r), theta, val_fn(theta) if val_fn else None):
+            rec.stop_reason = "val_patience"
+            break
+        if rec.total_epochs >= cfg.max_epochs:
+            break  # the last epoch takes no step
+        J = jacobian_fn(theta)
         n = n_samples if n_samples is not None else len(r)
         A = J.T @ J
         eye = np.eye(n_params)
@@ -578,9 +587,6 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
             alpha, beta, gamma = _evidence_update(
                 A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
             reestimate = False
-        if log.log(sse / len(r), theta, val_fn(theta) if val_fn else None):
-            rec.stop_reason = "val_patience"
-            break
         grad = 2.0 * (beta * (J.T @ r) + alpha * theta)
         if np.linalg.norm(grad) < cfg.grad_tol:
             rec.stop_reason = "converged"
@@ -615,13 +621,17 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
 
 
 def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
-    """One MacKay evidence re-estimation; ill-conditioned H gets LM damping."""
-    H = 2.0 * beta * A + 2.0 * alpha * eye
-    try:
-        trace_inv = float(np.trace(np.linalg.inv(H)))
-    except np.linalg.LinAlgError:
-        trace_inv = float(np.trace(np.linalg.inv(H + mu * eye)))
-        rec.notes.append("damped ill-conditioned Hessian in evidence update")
+    """One MacKay evidence re-estimation; ill-conditioned H gets LM damping.
+    At alpha = 0, gamma = P - 2 alpha tr(H^-1) is P and H is not inverted."""
+    if alpha == 0.0:
+        trace_inv = 0.0
+    else:
+        H = 2.0 * beta * A + 2.0 * alpha * eye
+        try:
+            trace_inv = float(np.trace(np.linalg.inv(H)))
+        except np.linalg.LinAlgError:
+            trace_inv = float(np.trace(np.linalg.inv(H + mu * eye)))
+            rec.notes.append("damped ill-conditioned Hessian in evidence update")
     gamma = n_params - 2.0 * alpha * trace_inv
     if gamma < 0.0 or gamma > n_params:
         rec.notes.append(f"gamma {gamma:.6g} clamped into [0, {n_params}]")
@@ -738,7 +748,8 @@ def prediction_jacobian(model, dataset, index_subset=None, states=None):
 
 def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
                  val_fn=None) -> tuple[np.ndarray, TrainRecord]:
-    """Moller's scaled conjugate gradient as one loop over callables."""
+    """Moller's scaled conjugate gradient as one loop over callables; the
+    last epoch of the budget takes no step."""
     theta = np.array(theta0, dtype=float)
     n_params = theta.size
     lam = cfg.scg_lambda0
@@ -752,7 +763,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
     log = _EpochLog(cfg.val_patience)
     rec = log.record
     started = time.perf_counter()
-    while rec.total_epochs < cfg.max_epochs:
+    while True:
         if log.log(f_cur, theta, val_fn(theta) if val_fn else None):
             rec.stop_reason = "val_patience"
             break
@@ -763,6 +774,8 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
             rec.stop_reason = "damping_overflow"
             rec.notes.append("lambda overflow; no improving step found")
             break
+        if rec.total_epochs >= cfg.max_epochs:
+            break  # the last epoch takes no step
         if success:
             p_norm2 = float(p @ p)
             if p_norm2 == 0.0:

@@ -149,6 +149,31 @@ class TestTrainRepeats:
         for g, w in zip(got, want):
             assert_same_outcome(g, w)
 
+    @pytest.mark.parametrize("max_epochs", [1, 4, 9])
+    @pytest.mark.parametrize("algorithm", ["lm", "br", "scg"])
+    def test_a_shorter_budget_logs_a_prefix_of_the_longer_run(self, algorithm, max_epochs):
+        """Capping the epochs cuts a run short and moves nothing before the
+        cut: the first epochs' curves, and the weights when the longer run's
+        best epoch falls within the cap."""
+        models, datas, trains, vals = stacked_problem(22, 4, 2, 3, 60)
+        vals[3] = []  # a repeat without a validation set
+        cfg = TrainConfig(algorithm=algorithm, max_epochs=max_epochs, val_patience=2)
+        short = train_repeats(models, datas, trains, vals, cfg)
+        long = train_repeats(models, datas, trains, vals,
+                             dataclasses.replace(cfg, max_epochs=max_epochs + 5))
+        same_weights = 0
+        for (model, rec), (long_model, long_rec) in zip(short, long):
+            n = min(max_epochs, long_rec.total_epochs)
+            assert rec.total_epochs == n
+            assert repr(rec.train_mse) == repr(long_rec.train_mse[:n])
+            assert repr(rec.val_mse) == repr(long_rec.val_mse[:n])  # repr: NaN equals NaN
+            if long_rec.best_epoch <= max_epochs:
+                assert rec.best_epoch == long_rec.best_epoch
+                assert (model.params_to_vector().tobytes()
+                        == long_model.params_to_vector().tobytes())
+                same_weights += 1
+        assert same_weights > 0
+
     def test_seconds_share_the_lockstep_wall_time(self):
         models, datas, trains, vals = stacked_problem(13, 3, 2, 3, 40)
         got = train_repeats(models, datas, trains, vals,

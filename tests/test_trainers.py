@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from aeroforecast import trainers
 from aeroforecast.rnn import (RnnModel, SequenceDataset, forward, forward_states,
                               gradient_sse, init_rnn, loss_mse, prediction_jacobian)
 from aeroforecast.trainers import (RnnObjective, TrainConfig, TrainRecord,
@@ -139,7 +140,7 @@ class TestBr:
         _, rec = train_br(model, data, np.arange(40), np.arange(40, 60),
                           TrainConfig(algorithm="br", max_epochs=5))
         assert rec.gammas
-        assert rec.gammas[0] == pytest.approx(model.n_params)
+        assert rec.gammas[0] == float(model.n_params)
 
     def test_gamma_stays_in_bounds(self):
         for seed in range(6):
@@ -248,6 +249,79 @@ class TestSharedBehavior:
         with pytest.raises(FloatingPointError, match=f"during {name} training"):
             core(lambda theta: np.array([1.0, math.nan, 2.0]),
                  lambda theta: np.ones((3, 2)), np.zeros(2), TrainConfig())
+
+
+def recorded(obj, requests):
+    """The answer of ``obj`` to each kind, appending the kind to
+    ``requests`` before it answers."""
+    def answer(kind):
+        def call(theta):
+            requests.append(kind)
+            return getattr(obj, kind)(theta)
+        return call
+    return answer
+
+
+class TestLastEpochTakesNoStep:
+    """An epoch that ends the run, by the epoch budget or by the validation
+    patience, is logged and then stops: a step searched there would never
+    be logged or returned, so its Jacobian, gradient and trial points are
+    not requested."""
+
+    @staticmethod
+    def run(algo, cfg, seed):
+        model = init_rnn(2, 3, 1, seed=seed)
+        obj = RnnObjective(model, noisy_dataset(seed + 100), np.arange(40), np.arange(40, 60))
+        requests = []
+        answer = recorded(obj, requests)
+        theta0 = model.params_to_vector()
+        cfg = dataclasses.replace(cfg, algorithm=algo)
+        if algo == "scg":
+            _, rec = scg_minimize(answer("train_mse"), answer("gradient"), theta0, cfg,
+                                  answer("val_mse"))
+        else:
+            core = lm_least_squares if algo == "lm" else br_least_squares
+            _, rec = core(answer("residuals"), answer("jacobian"), theta0, cfg,
+                          answer("val_mse"))
+        return rec, requests
+
+    @pytest.mark.parametrize("max_epochs", [1, 2, 5])
+    @pytest.mark.parametrize("algo", ["lm", "br"])
+    def test_gauss_newton_forms_one_jacobian_fewer_than_its_epochs(self, algo, max_epochs):
+        rec, requests = self.run(algo, TrainConfig(max_epochs=max_epochs, val_patience=100), 41)
+        assert rec.stop_reason == "max_epochs" and rec.total_epochs == max_epochs
+        assert requests.count("jacobian") == max_epochs - 1
+        assert len(rec.step_deltas) == max_epochs - 1
+        assert requests[-1] == "val_mse"  # nothing after the last log
+
+    @pytest.mark.parametrize("max_epochs", [1, 2, 5])
+    def test_scg_makes_no_request_after_its_last_log(self, max_epochs):
+        rec, requests = self.run("scg", TrainConfig(max_epochs=max_epochs, val_patience=100), 41)
+        assert rec.stop_reason == "max_epochs" and rec.total_epochs == max_epochs
+        assert requests.count("val_mse") == max_epochs
+        assert requests[-1] == "val_mse"
+
+    @pytest.mark.parametrize("algo", ["lm", "br"])
+    def test_epoch_that_trips_val_patience_forms_no_jacobian(self, algo):
+        cfg = TrainConfig(max_epochs=40, val_patience=1, br_val_stop=True)
+        rec, requests = self.run(algo, cfg, 44)
+        assert rec.stop_reason == "val_patience" and rec.total_epochs < 40
+        assert requests.count("jacobian") == rec.total_epochs - 1
+        assert requests[-1] == "val_mse"
+
+    @pytest.mark.parametrize("max_epochs", [2, 3])
+    def test_br_inverts_no_hessian_in_its_first_epochs(self, monkeypatch, max_epochs):
+        """The first re-estimation, at alpha = 0, gives gamma = P without
+        inverting H; at max_epochs = 2 the run makes no re-estimation."""
+        def no_inverse(a):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(trainers.np.linalg, "inv", no_inverse)
+        model = init_rnn(2, 3, 1, seed=12)
+        _, rec = train_br(model, noisy_dataset(13), np.arange(40), np.arange(40, 60),
+                          TrainConfig(algorithm="br", max_epochs=max_epochs))
+        assert rec.stop_reason == "max_epochs" and rec.total_epochs == max_epochs
+        assert rec.gammas == [float(model.n_params)] * (max_epochs - 2)
 
 
 class TestDampingOverflow:
