@@ -48,8 +48,8 @@ import numpy as np
 
 from . import fundamentals as fund
 from . import indicators as ind
-from .experiments import (FEATURE_COLUMNS, CompanyBundle, ExperimentSpec, cell_name,
-                          check_grid_template, run_grid, run_repeat,
+from .experiments import (FEATURE_COLUMNS, FEATURE_SETS, CompanyBundle, ExperimentSpec,
+                          cell_name, check_grid_template, run_grid, run_repeat,
                           write_grid_results, write_marginals, write_predictions)
 from .market_data import (MarketDataError, SyntheticSpec, clean_and_align,
                           generate_synthetic, load_prices, write_csv,
@@ -57,9 +57,16 @@ from .market_data import (MarketDataError, SyntheticSpec, clean_and_align,
 from .pca import check_k, fit_pca, transform, write_pca_report, write_pca_scatter
 from .rnn import save_model
 from .seeding import derive_seed
-from .trainers import TrainConfig
+from .trainers import ALGORITHMS, TrainConfig
 
 DEFAULT_COMPANIES = ("SYN_A", "SYN_B")
+# Each experiment setting's (section, key) -> the ExperimentSpec field it sets,
+# cast to its default's type.  A new setting needs only an entry here.
+EXPERIMENT_KEYS = {("pca", "k"): "pca_k", ("pca", "scale_mode"): "pca_scale_mode",
+                   ("pca", "scope"): "pca_scope", ("train", "feature_set"): "feature_set",
+                   ("train", "neurons"): "n_hidden", ("train", "delay"): "delay",
+                   ("experiment", "standardize_inputs"): "standardize_inputs",
+                   ("experiment", "split_mode"): "split_mode"}
 
 
 @dataclass
@@ -119,10 +126,10 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
             raise ValueError(f"config [{section}] {key}: {raw!r} is not "
                              f"{cast.__name__}") from None
 
-    def fields_of(section, cls):
-        """One key per field of ``cls``, cast to the type of its default."""
+    def fields_of(section, cls, skip=()):
+        """One key per field of ``cls`` but ``skip``, cast to its default's type."""
         return {f.name: get(section, f.name, type(f.default), f.default)
-                for f in dataclasses.fields(cls)}
+                for f in dataclasses.fields(cls) if f.name not in skip}
 
     config_seed = get("run", "seed", int, None)
     if seed is None:
@@ -131,32 +138,19 @@ def load_config(path: str | None, seed: int | None = None) -> RunConfig:
     rc.out = get("run", "out", str, rc.out)
     rc.jobs = _check_jobs(get("run", "jobs", int, rc.jobs))
 
-    rc.synthetic = SyntheticSpec(
-        n_days=get("synthetic", "n_days", int, rc.synthetic.n_days),
-        drift=get("synthetic", "drift", float, rc.synthetic.drift),
-        volatility=get("synthetic", "volatility", float, rc.synthetic.volatility),
-        quarterly_pattern=get("synthetic", "quarterly_pattern", str,
-                              rc.synthetic.quarterly_pattern),
-    )
+    # The synthetic seed is derived per company, never read.
+    rc.synthetic = SyntheticSpec(**fields_of("synthetic", SyntheticSpec, skip=("seed",)))
     rc.indicators = ind.IndicatorConfig(**fields_of("indicators", ind.IndicatorConfig))
-
-    spec = rc.experiment
-    k_raw = get("pca", "k", str, str(spec.pca_k)).lower()
-    experiment = dict(
-        pca_k=None if k_raw in ("", "none", "0") else get("pca", "k", int, spec.pca_k),
-        pca_scale_mode=get("pca", "scale_mode", str, spec.pca_scale_mode),
-        pca_scope=get("pca", "scope", str, spec.pca_scope))
 
     train = fields_of("train", TrainConfig)
     train["algorithm"] = train["algorithm"].lower()
     rc.train = TrainConfig(**train)
-    experiment.update(
-        feature_set=get("train", "feature_set", str, spec.feature_set),
-        n_hidden=get("train", "neurons", int, spec.n_hidden),
-        delay=get("train", "delay", int, spec.delay),
-        standardize_inputs=get("experiment", "standardize_inputs", bool,
-                               spec.standardize_inputs),
-        split_mode=get("experiment", "split_mode", str, spec.split_mode))
+
+    spec = rc.experiment
+    no_pca = get("pca", "k", str, str(spec.pca_k)).lower() in ("", "none", "0")
+    experiment = {name: None if name == "pca_k" and no_pca
+                  else get(section, key, type(getattr(spec, name)), getattr(spec, name))
+                  for (section, key), name in EXPERIMENT_KEYS.items()}
 
     companies = [CompanyEntry(label=name.split(":", 1)[1].strip(),
                               prices=get(name, "prices", str, None) or None,
@@ -373,15 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Share-price prediction pipeline: features, PCA, "
                     "target-delayed RNN, and the full experiment grid.",
     )
-    parser.add_argument("command", choices=["synth", "features", "pca", "train", "grid"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config "
                         "and AEROFORECAST_SEED)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--company", help="restrict to one company label")
-    parser.add_argument("--feature-set", dest="feature_set",
-                        choices=["fundamental", "technical", "mixed"])
-    parser.add_argument("--algo", choices=["lm", "br", "scg"])
+    parser.add_argument("--feature-set", dest="feature_set", choices=FEATURE_SETS)
+    parser.add_argument("--algo", choices=ALGORITHMS)
     parser.add_argument("--neurons", type=int)
     parser.add_argument("--delay", type=int)
     parser.add_argument("--jobs", type=int, help="parallel workers for the grid")

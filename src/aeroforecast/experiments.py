@@ -295,10 +295,8 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
             result.best_predictions = artifacts.prediction_rows
     ok = [r for r in result.repeats if r.error is None]
     if ok:
-        result.avg_total_epochs = float(np.mean([r.total_epochs for r in ok]))
-        result.avg_best_epochs = float(np.mean([r.best_epoch for r in ok]))
-        result.avg_test_mse = float(np.mean([r.test_mse for r in ok]))
-        result.avg_runtime_seconds = float(np.mean([r.seconds for r in ok]))
+        for column, name in CELL_AVERAGES.items():
+            setattr(result, column, float(np.mean([getattr(r, name) for r in ok])))
     return result
 
 
@@ -361,16 +359,9 @@ class GridReport:
                 continue
             key = (res.spec.company_label, getattr(res.spec, spec_field))
             groups.setdefault(key, []).append(res)
-        rows = []
-        for key, cells in groups.items():
-            rows.append((
-                key[0], key[1],
-                float(np.mean([c.avg_total_epochs for c in cells])),
-                float(np.mean([c.avg_best_epochs for c in cells])),
-                float(np.mean([c.avg_test_mse for c in cells])),
-                float(np.mean([c.avg_runtime_seconds for c in cells])),
-            ))
-        return rows
+        return [key + tuple(float(np.mean([getattr(c, column) for c in cells]))
+                            for column in CELL_AVERAGES)
+                for key, cells in groups.items()]
 
 
 def _run_cell(args):
@@ -405,11 +396,17 @@ def run_grid(bundles, master_seed: int, cfg: TrainConfig | None = None,
 # Report files
 # ---------------------------------------------------------------------------
 
-GRID_RESULT_COLUMNS = (
-    "company", "algorithm", "feature_set", "n_hidden", "delay", "pca_k",
-    "repeats", "base_seed",
-    "avg_total_epochs", "avg_best_epochs", "avg_test_mse", "avg_runtime_seconds",
-)
+# Each cell average, in column order -> the RepeatResult field it averages.
+# A new average needs an entry here and an ExperimentResult field of that
+# name; run_experiment, the marginals and both report headers follow it.
+CELL_AVERAGES = {"avg_total_epochs": "total_epochs", "avg_best_epochs": "best_epoch",
+                 "avg_test_mse": "test_mse", "avg_runtime_seconds": "seconds"}
+# Each grid_results.csv spec column, in order -> the ExperimentSpec field
+# it writes.  A new spec column needs only an entry here.
+SPEC_COLUMNS = {"company": "company_label", "algorithm": "algorithm",
+                "feature_set": "feature_set", "n_hidden": "n_hidden", "delay": "delay",
+                "pca_k": "pca_k", "repeats": "repeats", "base_seed": "base_seed"}
+GRID_RESULT_COLUMNS = tuple(SPEC_COLUMNS) + tuple(CELL_AVERAGES)
 
 # Each marginals file's grouping dimension -> the ExperimentSpec field it reads.
 MARGINAL_DIMENSIONS = {"algorithm": "algorithm", "feature_set": "feature_set",
@@ -424,10 +421,8 @@ def cell_name(spec: ExperimentSpec) -> str:
 def write_grid_results(path, report: GridReport) -> None:
     """``grid_results.csv``: one row per cell, spec fields then averages."""
     write_csv(path, GRID_RESULT_COLUMNS, (
-        (res.spec.company_label, res.spec.algorithm, res.spec.feature_set,
-         res.spec.n_hidden, res.spec.delay, res.spec.pca_k, res.spec.repeats,
-         res.spec.base_seed, res.avg_total_epochs, res.avg_best_epochs,
-         res.avg_test_mse, res.avg_runtime_seconds)
+        [getattr(res.spec, name) for name in SPEC_COLUMNS.values()]
+        + [getattr(res, column) for column in CELL_AVERAGES]
         for res in report.results))
 
 
@@ -436,8 +431,7 @@ def write_marginals(out_dir, report: GridReport) -> list:
     paths = []
     for dim in MARGINAL_DIMENSIONS:
         path = f"{out_dir}/marginals_{dim}.csv"
-        write_csv(path, ["company", dim, "avg_total_epochs", "avg_best_epochs",
-                         "avg_test_mse", "avg_runtime_seconds"], report.marginal(dim))
+        write_csv(path, ["company", dim, *CELL_AVERAGES], report.marginal(dim))
         paths.append(path)
     return paths
 

@@ -2,9 +2,9 @@
 
 Thirteen ratios are computed from statement line items (or taken
 precomputed from the input file), then carried to daily frequency by
-linear interpolation between consecutive quarter ends.  Missing inputs
-yield missing (NaN) ratios, never zeros; the cleaning stage deletes the
-affected days.
+linear interpolation between consecutive quarter ends.  An absent input
+is NaN and carries through the arithmetic, so a ratio that needs it is
+missing (NaN), never zero; the cleaning stage deletes the affected days.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ RATIO_NAMES = (
 
 
 def _div(num, den):
-    if num is None or den is None or den == 0.0:
-        return math.nan
-    return num / den
+    return math.nan if den == 0.0 else num / den
 
 
 def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = None,
@@ -48,39 +46,26 @@ def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = 
     """Compute the 13 ratio features for one quarter.
 
     Returns a dict keyed by :data:`RATIO_NAMES`, in that order, whose
-    values are floats; NaN marks a ratio that could not be computed
-    (absent input or zero denominator).  ``year_ago`` (the same quarter
-    of the previous year) feeds the three growth features;
-    ``market_price`` feeds the P/E ratio.  Raises if every ratio comes
-    out missing.
+    values are floats.  ``year_ago`` (the same quarter of the previous
+    year) feeds the three growth features; ``market_price`` feeds the P/E
+    ratio.  An absent input (either of those, or a statement item) is NaN
+    and carries through the arithmetic, and a zero denominator gives NaN,
+    so NaN marks a ratio that could not be computed.  Raises if every
+    ratio comes out missing.
     """
-    cur = current.values.get
-    ago = year_ago.values.get if year_ago is not None else (lambda _name: None)
+    ago = {} if year_ago is None else year_ago.values
 
-    ebit, tax = cur("ebit"), cur("tax_rate")
-    roic_num = ebit * (1.0 - tax) if ebit is not None and tax is not None else None
-    ibl, equity = cur("interest_bearing_liabilities"), cur("equity")
-    cash = cur("cash_equivalents")
-    roic_den = 0.0 + ibl + equity - cash if None not in (ibl, equity, cash) else None
+    def cur(name):
+        return current.values.get(name, math.nan)
 
     def growth(name):
-        now, then = cur(name), ago(name)
-        if now is None or then is None:
-            return math.nan
-        return now - then
+        return cur(name) - ago.get(name, math.nan)
 
-    ar_begin, ar_end = cur("ar_balance_begin"), cur("ar_balance_end")
-    ar_avg = (ar_begin + ar_end) / 2.0 if ar_begin is not None and ar_end is not None else None
-
-    ca, inv = cur("current_assets"), cur("inventory")
-    quick_num = ca - inv if ca is not None and inv is not None else None
-
-    gp, pref = cur("gross_profit"), cur("preferred_dividends")
-    eps_num = gp - pref if gp is not None and pref is not None else None
-    eps = _div(eps_num, cur("total_equity_shares"))
-
+    eps = _div(cur("gross_profit") - cur("preferred_dividends"), cur("total_equity_shares"))
     ratios = {
-        "roic": _div(roic_num, roic_den),
+        "roic": _div(cur("ebit") * (1.0 - cur("tax_rate")),
+                     0.0 + cur("interest_bearing_liabilities") + cur("equity")
+                     - cur("cash_equivalents")),
         "operating_margin": _div(cur("operating_profit"), cur("operating_income")) * 100.0,
         "roa": _div(cur("net_income"), cur("total_assets")),
         "revenue_growth": growth("revenue"),
@@ -88,11 +73,13 @@ def compute_ratios(current: QuarterlyReport, year_ago: QuarterlyReport | None = 
         "total_debt_growth": growth("total_debt"),
         "debt_to_assets": _div(cur("total_debt"), cur("total_assets")),
         "equity_ratio": _div(cur("equity"), cur("total_assets")),
-        "ar_turnover": _div(cur("sales_net_income"), ar_avg),
-        "quick_ratio": _div(quick_num, cur("current_liabilities")),
+        "ar_turnover": _div(cur("sales_net_income"),
+                            (cur("ar_balance_begin") + cur("ar_balance_end")) / 2.0),
+        "quick_ratio": _div(cur("current_assets") - cur("inventory"),
+                            cur("current_liabilities")),
         "current_ratio": _div(cur("current_assets"), cur("current_liabilities")),
         "eps": eps,
-        "pe_ratio": _div(market_price, eps) if not math.isnan(eps) and eps != 0.0 else math.nan,
+        "pe_ratio": _div(math.nan if market_price is None else market_price, eps),
     }
     if all(math.isnan(value) for value in ratios.values()):
         raise ValueError(f"{current.quarter_end}: no ratio could be computed")

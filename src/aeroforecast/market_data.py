@@ -207,14 +207,9 @@ def load_prices(path) -> list[PriceBar]:
         try:
             bar = PriceBar(dt.date.fromisoformat(row[0].strip()), *map(float, row[1:]))
         except ValueError:  # parse field by field again, for the message
-            bar = PriceBar(
-                date=_parse_date(row[0], where),
-                open=_parse_float(row[1], where, "open"),
-                high=_parse_float(row[2], where, "high"),
-                low=_parse_float(row[3], where, "low"),
-                close=_parse_float(row[4], where, "close"),
-                volume=_parse_float(row[5], where, "volume"),
-            )
+            bar = PriceBar(_parse_date(row[0], where),
+                           *(_parse_float(cell, where, name)
+                             for cell, name in zip(row[1:], PRICE_COLUMNS[1:])))
         try:
             bar.validate()
         except MarketDataError as exc:

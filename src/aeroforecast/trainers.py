@@ -66,8 +66,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         for name in ("grad_tol", "mu0", "mu_inc", "mu_dec", "mu_max",
                      "scg_sigma", "scg_lambda0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.mu_inc <= 1:  # mu must grow, or a rejected step retries forever
             raise ValueError("mu_inc must be > 1")
         if self.val_patience < 1:

@@ -287,6 +287,66 @@ def interpolate_quarterly_to_daily(quarters, trading_days):
 
 
 # ---------------------------------------------------------------------------
+# The ratio features as the library computed them when an absent input was
+# None and each formula guarded against it, before an absent input became
+# NaN carried through the arithmetic; kept as the reference for identical
+# ratios.
+# ---------------------------------------------------------------------------
+
+
+def _div(num, den):
+    if num is None or den is None or den == 0.0:
+        return math.nan
+    return num / den
+
+
+def compute_ratios(current, year_ago=None, market_price=None) -> dict:
+    cur = current.values.get
+    ago = year_ago.values.get if year_ago is not None else (lambda _name: None)
+
+    ebit, tax = cur("ebit"), cur("tax_rate")
+    roic_num = ebit * (1.0 - tax) if ebit is not None and tax is not None else None
+    ibl, equity = cur("interest_bearing_liabilities"), cur("equity")
+    cash = cur("cash_equivalents")
+    roic_den = 0.0 + ibl + equity - cash if None not in (ibl, equity, cash) else None
+
+    def growth(name):
+        now, then = cur(name), ago(name)
+        if now is None or then is None:
+            return math.nan
+        return now - then
+
+    ar_begin, ar_end = cur("ar_balance_begin"), cur("ar_balance_end")
+    ar_avg = (ar_begin + ar_end) / 2.0 if ar_begin is not None and ar_end is not None else None
+
+    ca, inv = cur("current_assets"), cur("inventory")
+    quick_num = ca - inv if ca is not None and inv is not None else None
+
+    gp, pref = cur("gross_profit"), cur("preferred_dividends")
+    eps_num = gp - pref if gp is not None and pref is not None else None
+    eps = _div(eps_num, cur("total_equity_shares"))
+
+    ratios = {
+        "roic": _div(roic_num, roic_den),
+        "operating_margin": _div(cur("operating_profit"), cur("operating_income")) * 100.0,
+        "roa": _div(cur("net_income"), cur("total_assets")),
+        "revenue_growth": growth("revenue"),
+        "total_assets_growth": growth("total_assets"),
+        "total_debt_growth": growth("total_debt"),
+        "debt_to_assets": _div(cur("total_debt"), cur("total_assets")),
+        "equity_ratio": _div(cur("equity"), cur("total_assets")),
+        "ar_turnover": _div(cur("sales_net_income"), ar_avg),
+        "quick_ratio": _div(quick_num, cur("current_liabilities")),
+        "current_ratio": _div(cur("current_assets"), cur("current_liabilities")),
+        "eps": eps,
+        "pe_ratio": _div(market_price, eps) if not math.isnan(eps) and eps != 0.0 else math.nan,
+    }
+    if all(math.isnan(value) for value in ratios.values()):
+        raise ValueError(f"{current.quarter_end}: no ratio could be computed")
+    return ratios
+
+
+# ---------------------------------------------------------------------------
 # The EMA and Wilder recursions as the library wrote them, indexing numpy
 # scalars one day at a time, before they ran on Python floats; kept as
 # the reference for byte-identical output.
@@ -985,6 +1045,29 @@ def write_pca_scatter(path, projected) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def marginal_rows(report: GridReport, dimension: str):
+    """``GridReport.marginal`` as the library wrote it, one explicit mean
+    per cell average: rows in first-seen order of (company, value), fully
+    failed cells skipped."""
+    spec_field = MARGINAL_DIMENSIONS[dimension]
+    groups: dict = {}
+    for res in report.results:
+        if not np.isfinite(res.avg_test_mse):
+            continue
+        key = (res.spec.company_label, getattr(res.spec, spec_field))
+        groups.setdefault(key, []).append(res)
+    rows = []
+    for key, cells in groups.items():
+        rows.append((
+            key[0], key[1],
+            float(np.mean([c.avg_total_epochs for c in cells])),
+            float(np.mean([c.avg_best_epochs for c in cells])),
+            float(np.mean([c.avg_test_mse for c in cells])),
+            float(np.mean([c.avg_runtime_seconds for c in cells])),
+        ))
+    return rows
+
+
 def write_grid_results(path, report: GridReport) -> None:
     """``grid_results.csv``: one row per cell, spec fields then averages."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -1010,7 +1093,7 @@ def write_marginals(out_dir, report: GridReport) -> list:
             writer.writerow(["company", dim, "avg_total_epochs",
                              "avg_best_epochs", "avg_test_mse",
                              "avg_runtime_seconds"])
-            for row in report.marginal(dim):
+            for row in marginal_rows(report, dim):
                 writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]),
                                  repr(row[4]), repr(row[5])])
         paths.append(path)

@@ -12,7 +12,7 @@ from aeroforecast import cli, experiments
 from aeroforecast.cli import load_config, main
 from aeroforecast.experiments import (ExperimentResult, ExperimentSpec, GridReport,
                                       RepeatResult, run_repeat)
-from aeroforecast.market_data import load_prices
+from aeroforecast.market_data import SyntheticSpec, load_prices
 from aeroforecast.seeding import derive_seed
 from aeroforecast.trainers import TrainConfig
 
@@ -239,6 +239,8 @@ class TestConfigValidation:
         ("[train]\nmax_epochs = three\n", ["config [train] max_epochs: 'three' is not int"]),
         ("[train]\nlearning_rate = 0.5\n", ["[train]", "learning_rate"]),
         ("[experiment]\nrepeats = 3\n", ["[experiment]", "repeats"]),
+        ("[synthetic]\nseed = 3\n", ["[synthetic]", "seed"]),
+        ("[train]\nmu_max = inf\n", ["mu_max"]),
     ])
     def test_rejected_with_section_and_key(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "c.ini"
@@ -275,17 +277,22 @@ class TestConfigValidation:
         assert rc.companies[0].prices == "p.csv"
 
     def test_every_field_is_a_key(self, tmp_path):
-        """Each TrainConfig and IndicatorConfig field is read from its
-        section, so no key can be read into nothing."""
+        """Each TrainConfig, IndicatorConfig and SyntheticSpec field (but
+        the synthetic seed) is read from its section, so no key can be
+        read into nothing."""
         lines = ["[train]"]
         lines += [f"{f.name} = {f.default}" for f in dataclasses.fields(TrainConfig)]
         lines += ["[indicators]"]
         lines += [f"{f.name} = {f.default}" for f in dataclasses.fields(ind.IndicatorConfig)]
+        lines += ["[synthetic]"]
+        lines += [f"{f.name} = {f.default}" for f in dataclasses.fields(SyntheticSpec)
+                  if f.name != "seed"]
         cfg = tmp_path / "c.ini"
         cfg.write_text("\n".join(lines) + "\n")
         rc = load_config(str(cfg))
         assert rc.train == TrainConfig()
         assert rc.indicators == ind.IndicatorConfig()
+        assert rc.synthetic == SyntheticSpec()
 
 
 class TestOneSpecPath:

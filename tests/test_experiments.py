@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import aeroforecast.experiments as exp
-from aeroforecast.experiments import (CompanyBundle, ExperimentSpec,
-                                      GridReport, cell_name, grid_specs,
+import oracles
+from aeroforecast.experiments import (CompanyBundle, ExperimentResult, ExperimentSpec,
+                                      GridReport, RepeatResult, cell_name, grid_specs,
                                       run_experiment, split_70_15_15,
                                       split_blocked)
 from aeroforecast.pca import fit_pca
@@ -209,6 +210,20 @@ class TestMarginals:
                                     abs=1e-12)
         assert epochs == pytest.approx(
             np.mean([r.avg_total_epochs for r in report.results]), abs=1e-12)
+
+    def test_marginals_equal_the_reference_loop(self, bundle):
+        cells = [run_experiment(small_spec(algorithm=algo, n_hidden=h, delay=d), bundle, FAST)
+                 for algo, h, d in [("lm", 4, 5), ("lm", 5, 6), ("br", 4, 6), ("scg", 5, 5)]]
+        failed = ExperimentResult(spec=small_spec(algorithm="br", n_hidden=6, delay=7),
+                                  repeats=[RepeatResult(seed=7, error="ValueError: x")])
+        report = GridReport(results=cells[:2] + [failed] + cells[2:])
+        for dim in exp.MARGINAL_DIMENSIONS:
+            rows = report.marginal(dim)
+            assert rows == oracles.marginal_rows(report, dim), dim
+            assert all(len(row) == 6 for row in rows)
+        # the failed cell is the only one with six neurons or delay seven
+        assert 6 not in [row[1] for row in report.marginal("neurons")]
+        assert [row[1] for row in report.marginal("delay")] == [5, 6]
 
     def test_marginal_by_neurons_groups(self, bundle):
         report = self._mini_report(bundle)

@@ -109,6 +109,50 @@ class TestComputeRatios:
         assert tuple(r) == fund.RATIO_NAMES
 
 
+def random_statement(rng, p_absent):
+    """Each statement item independently absent (probability ``p_absent``)
+    or one of 0.0, -0.0, an int, a tiny or huge float, or an ordinary value."""
+    values = {}
+    for name in fund.STATEMENT_FIELDS:
+        if rng.random() < p_absent:
+            continue
+        sign = float(rng.choice([-1.0, 1.0]))
+        values[name] = [0.0, -0.0, int(rng.integers(-3, 4)), sign * 1e-300, sign * 1e300,
+                        float(rng.normal(0.0, 50.0))][rng.integers(6)]
+    return values
+
+
+def ratio_outcome(compute, *args):
+    """The ratios as (name, repr) pairs in order, or the exception text."""
+    try:
+        return [(name, repr(value)) for name, value in compute(*args).items()]
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestComputeRatiosMatchesReference:
+    """An absent input is NaN carried through the arithmetic; the ratios
+    equal those of the reference that guarded each formula against an
+    absent (None) input, to the repr of every value."""
+
+    def test_seeded_statements(self):
+        rng = np.random.default_rng(2008)
+        raised = 0
+        for case in range(12_000):
+            p_absent = (1 / 7, 0.5, 0.9)[case % 3]
+            current = Q(dt.date(2021, 3, 31), random_statement(rng, p_absent))
+            ago_kind = rng.integers(3)  # absent, partial, full
+            year_ago = (None if ago_kind == 0 else
+                        Q(dt.date(2020, 3, 31),
+                          random_statement(rng, 0.5 if ago_kind == 1 else 0.0)))
+            price = [None, 0.0, -float(rng.uniform(0.1, 100.0)),
+                     float(rng.uniform(0.1, 100.0))][rng.integers(4)]
+            got = ratio_outcome(fund.compute_ratios, current, year_ago, price)
+            assert got == ratio_outcome(oracles.compute_ratios, current, year_ago, price), case
+            raised += isinstance(got, str)
+        assert 0 < raised < 12_000
+
+
 class TestInterpolation:
     def days(self, start, n, step=1):
         return [start + dt.timedelta(days=i * step) for i in range(n)]

@@ -235,6 +235,14 @@ class TestSharedBehavior:
         with pytest.raises(ValueError, match="grad_tol"):
             TrainConfig(grad_tol=0.0)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrainConfig)
+                                      if isinstance(f.default, float)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, name, bad):
+        # mu_max = inf let mu overflow to inf and the damping loop run forever
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: bad})
+
     def test_damping_growth_and_patience_validated(self):
         # mu_inc <= 1 never lets mu pass mu_max, so rejection loops forever
         for bad in (1.0, 0.5):
