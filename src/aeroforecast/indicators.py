@@ -9,6 +9,7 @@ only on bars 0..t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class IndicatorConfig:
                      "macd_signal", "stoch_window", "stoch_d", "wr_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("bb_k", "cci_scale"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.macd_fast >= self.macd_slow:
             raise ValueError("macd_fast must be < macd_slow")
         if self.cci_mode not in ("standard", "paper-literal"):

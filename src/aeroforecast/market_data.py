@@ -283,8 +283,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_days < 60:
             raise ValueError(f"n_days must be >= 60, got {self.n_days}")
-        if self.volatility < 0:
-            raise ValueError(f"volatility must be >= 0, got {self.volatility}")
+        if not math.isfinite(self.drift):
+            raise ValueError(f"drift must be finite, got {self.drift}")
+        if not 0 <= self.volatility < math.inf:  # NaN fails this too
+            raise ValueError(f"volatility must be >= 0 and finite, got {self.volatility}")
         if self.quarterly_pattern not in ("flat", "trend", "seasonal"):
             raise ValueError(f"unknown quarterly_pattern {self.quarterly_pattern!r}")
 

@@ -3,7 +3,9 @@ LM, and Moller's scaled conjugate gradient.
 
 LM and BR share one damped Gauss-Newton core that minimizes
 F = beta*SSE + alpha*|theta|^2: LM holds (alpha, beta) at (0, 1), and
-BR re-estimates them from the evidence after every accepted step.
+BR re-estimates them from the evidence after every accepted step.  With
+fewer residuals than weights (N < P), an epoch's trial steps and BR's
+gamma come from one eigendecomposition of the N x N Gram matrix JJ'.
 
 Each core is a generator that yields requests ``(kind, theta)`` and is
 sent the answers; ``kind`` names the :class:`RnnObjective` method that
@@ -40,8 +42,9 @@ from .rnn import (RnnModel, SequenceDataset, forward, forward_states,  # noqa: F
                   gradient_sse, loss_mse, prediction_jacobian, state_error)
 
 ALGORITHMS = ("lm", "br", "scg")
-# Bytes of P x P Gauss-Newton matrices that the LM or BR repeats
-# advancing together may hold between requests.
+# Bytes of Gauss-Newton matrices that the LM or BR repeats advancing
+# together may hold between requests: P x min(N, P) each (J'J, or J'Q
+# when N < P).
 GAUSS_NEWTON_BYTES = 4 << 20
 
 
@@ -168,7 +171,14 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
     otherwise mu grows and the step is retried within the same epoch.
     With ``bayesian``, (alpha, beta) are re-estimated in every epoch
     after the first, once it is logged and before its step; the budget's
-    last epoch is logged only.  Between requests the core holds J'J, not J."""
+    last epoch is logged only.
+
+    With N >= P residuals every trial solves the P x P system, and
+    between requests the core holds J'J.  With N < P each epoch
+    decomposes the N x N Gram matrix JJ' once and takes every trial from
+    that (:func:`_dual_steps`), so between requests the core holds the
+    P x N matrix J'Q; a LinAlgError of the decomposition does not depend
+    on mu and is raised."""
     theta = np.array(theta0, dtype=float)
     alpha, beta = 0.0, 1.0
     mu = cfg.mu0
@@ -187,24 +197,27 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
         if rec.total_epochs >= cfg.max_epochs:
             break  # a step now would never be logged or returned
         J = yield "jacobian", theta
-        A, Jr = J.T @ J, J.T @ r
+        Jr = J.T @ r
+        dual = len(r) < theta.size
+        if dual:  # gram: the eigenvalues of JJ'
+            gram, JQ, Qr = _gram_spectrum(J, r)
+        else:
+            gram = J.T @ J
         del J
         if bayesian and rec.total_epochs > 1:  # every epoch after the first follows a step
             n = n_samples if n_samples is not None else len(r)
-            alpha, beta = _evidence_update(A, theta, sse, n, alpha, beta, mu, rec)
+            alpha, beta = _evidence_update(gram, theta, sse, n, alpha, beta, mu, rec)
         g = beta * Jr + alpha * theta  # half the gradient of F
         if np.linalg.norm(2.0 * g) < cfg.grad_tol:
             rec.stop_reason = "converged"
             break
-        A *= beta  # in place: a scaled copy would add a P x P array
-        diag = np.diag_indices_from(A)
-        d = A[diag]  # each trial damps this diagonal in place, copying no P x P array
+        step = (_dual_steps(gram, JQ, Qr, theta, alpha, beta) if dual
+                else _primal_steps(gram, g, alpha, beta))
         f_cur = beta * sse + alpha * float(theta @ theta)
         while mu <= cfg.mu_max:
-            A[diag] = d + (alpha + mu)
             try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
+                delta = step(mu)
+            except np.linalg.LinAlgError:  # a singular primal system
                 mu *= cfg.mu_inc
                 continue
             trial = theta + delta
@@ -223,15 +236,56 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
     return rec.best_theta.copy(), rec
 
 
-def _evidence_update(A, theta, sse, n, alpha, beta, mu, rec):
-    """MacKay's re-estimation: gamma = P - 2 alpha tr(H^-1), H = 2 beta J'J
-    + 2 alpha I (P with no inverse at alpha = 0; LM damping for a singular
-    H), clamped into [0, P] and appended to ``rec.gammas``; returns alpha =
-    gamma / (2 |theta|^2) and beta = (N - gamma) / (2 SSE), both >= 1e-12."""
+def _primal_steps(A, g, alpha, beta):
+    """Trial step of damping mu by the P x P solve; scales A = J'J in place."""
+    A *= beta  # in place: a scaled copy would add a P x P array
+    diag = np.diag_indices_from(A)
+    d = A[diag]  # each trial damps this diagonal in place, copying no P x P array
+
+    def step(mu):
+        A[diag] = d + (alpha + mu)
+        return np.linalg.solve(A, -g)
+    return step
+
+
+def _gram_spectrum(J, r):
+    """(lam, J'Q, Q'e) of the Gram matrix JJ' = Q diag(lam) Q', its
+    rounding-negative eigenvalues clamped to 0 (JJ' is PSD)."""
+    lam, Q = np.linalg.eigh(J @ J.T)
+    np.maximum(lam, 0.0, out=lam)
+    return lam, J.T @ Q, Q.T @ r
+
+
+def _dual_steps(lam, JQ, Qr, theta, alpha, beta):
+    """Trial step of damping mu from the Gram spectrum: with c = alpha + mu
+    and w = beta / (c + beta lam), the push-through form of the primal
+    solve is d = -(J'Q (w * (Q'e - (alpha/c) Q'J theta)) + (alpha/c) theta),
+    in which alpha = 0 (all of LM) leaves no 1/c factor."""
+    blam, Qt = beta * lam, JQ.T @ theta
+
+    def step(mu):
+        c = alpha + mu
+        return -(JQ @ (beta / (c + blam) * (Qr - (alpha / c) * Qt)) + (alpha / c) * theta)
+    return step
+
+
+def _evidence_update(gram, theta, sse, n, alpha, beta, mu, rec):
+    """MacKay's re-estimation of the effective parameter count gamma,
+    appended to ``rec.gammas``; returns alpha = gamma / (2 |theta|^2) and
+    beta = (N - gamma) / (2 SSE), both >= 1e-12.  At alpha = 0, gamma = P.
+
+    ``gram`` is J'J (P x P), or the eigenvalues lam of JJ' when N < P.
+    From J'J, gamma = P - 2 alpha tr(H^-1) with H = 2 beta J'J + 2 alpha I
+    (LM damping for a singular H), clamped into [0, P].  From lam it is
+    the same quantity, sum(beta lam / (beta lam + alpha)): J'J's other
+    P - N eigenvalues are zero, so gamma <= N and needs no clamp."""
     n_params = theta.size
     gamma = float(n_params)
-    if alpha != 0.0:
-        H = 2.0 * beta * A
+    if alpha != 0.0 and gram.ndim == 1:
+        blam = beta * gram
+        gamma = float(np.sum(blam / (blam + alpha)))
+    elif alpha != 0.0:
+        H = 2.0 * beta * gram
         H[np.diag_indices_from(H)] += 2.0 * alpha
         try:
             trace_inv = float(np.trace(np.linalg.inv(H)))
@@ -407,15 +461,17 @@ def train_repeats(models, datasets, train_idxs, val_idxs, cfg: TrainConfig) -> l
     Every round takes one request from each live repeat; one stacked
     forward pass and one stacked gradient serve all that need them, and
     Jacobians (n x P each) are formed one at a time.  SCG repeats all
-    advance together, LM and BR repeats in groups whose J'J matrices fit
-    ``GAUSS_NEWTON_BYTES``.  Returns per repeat the bytes it gets alone,
-    (trained model, TrainRecord), or the exception it raised while the
-    others carried on; ``seconds`` is the wall time over the repeats.
+    advance together, LM and BR repeats in groups whose Gauss-Newton
+    matrices (J'J, or J'Q when N < P) fit ``GAUSS_NEWTON_BYTES``.
+    Returns per repeat the bytes it gets alone, (trained model,
+    TrainRecord), or the exception it raised while the others carried on;
+    ``seconds`` is the wall time over the repeats.
     """
     started = time.perf_counter()
     objectives = [RnnObjective(*args) for args in zip(models, datasets, train_idxs, val_idxs)]
+    n_params = models[0].n_params
     together = len(objectives) if cfg.algorithm == "scg" else \
-        max(1, GAUSS_NEWTON_BYTES // (8 * models[0].n_params ** 2))
+        max(1, GAUSS_NEWTON_BYTES // (8 * n_params * min(len(train_idxs[0]), n_params)))
     outcomes = [outcome for start in range(0, len(objectives), together)
                 for outcome in _lockstep(objectives[start:start + together], cfg)]
     seconds = (time.perf_counter() - started) / len(objectives)

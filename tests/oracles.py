@@ -553,7 +553,30 @@ def jacobi_eigh(matrix, sweeps=100):
 # They share only the per-epoch bookkeeping (``_EpochLog``) with it.
 # Like the core, each logs an epoch before forming its Jacobian, and the
 # last epoch of the budget is logged only: its step would not be returned.
+# With fewer residuals than weights (N < P) each trial step and gamma come
+# from an eigendecomposition of JJ' that ``_gram_step`` and
+# ``_gram_gamma`` recompute from J on every call.
 # ---------------------------------------------------------------------------
+
+
+def _gram_step(J, r, theta, alpha, beta, mu):
+    """The step d solving (beta J'J + c I) d = -(beta J'r + alpha theta),
+    c = alpha + mu, through the N x N matrix JJ' = Q diag(lam) Q':
+    (beta J'J + c I)^-1 = (I - beta J'(beta JJ' + c I)^-1 J) / c and
+    (beta J'J + c I)^-1 J' = J'(beta JJ' + c I)^-1."""
+    lam, Q = np.linalg.eigh(J @ J.T)
+    lam = np.maximum(lam, 0.0)
+    JQ = J.T @ Q
+    c = alpha + mu
+    w = beta / (c + beta * lam)
+    return -(JQ @ (w * (Q.T @ r - (alpha / c) * (JQ.T @ theta))) + (alpha / c) * theta)
+
+
+def _gram_gamma(J, alpha, beta):
+    """P - 2 alpha tr(H^-1), H = 2 beta J'J + 2 alpha I, from the eigenvalues
+    of JJ' (J'J's other P - N eigenvalues are zero)."""
+    blam = beta * np.maximum(np.linalg.eigh(J @ J.T)[0], 0.0)
+    return float(np.sum(blam / (blam + alpha)))
 
 
 def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
@@ -588,7 +611,10 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
         accepted = False
         while mu <= cfg.mu_max:
             try:
-                delta = np.linalg.solve(A + mu * eye, -(J.T @ r))
+                if len(r) < theta.size:
+                    delta = _gram_step(J, r, theta, 0.0, 1.0, mu)
+                else:
+                    delta = np.linalg.solve(A + mu * eye, -(J.T @ r))
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
@@ -645,7 +671,7 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
         eye = np.eye(n_params)
         if reestimate:
             alpha, beta, gamma = _evidence_update(
-                A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
+                J, A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
             reestimate = False
         grad = 2.0 * (beta * (J.T @ r) + alpha * theta)
         if np.linalg.norm(grad) < cfg.grad_tol:
@@ -655,8 +681,11 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
         accepted = False
         while mu <= cfg.mu_max:
             try:
-                delta = np.linalg.solve(beta * A + (alpha + mu) * eye,
-                                        -(beta * (J.T @ r) + alpha * theta))
+                if len(r) < n_params:
+                    delta = _gram_step(J, r, theta, alpha, beta, mu)
+                else:
+                    delta = np.linalg.solve(beta * A + (alpha + mu) * eye,
+                                            -(beta * (J.T @ r) + alpha * theta))
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
@@ -680,22 +709,26 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
     return rec.best_theta.copy(), rec
 
 
-def _evidence_update(A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
+def _evidence_update(J, A, eye, theta, sse, n, n_params, alpha, beta, mu, rec):
     """One MacKay evidence re-estimation; ill-conditioned H gets LM damping.
-    At alpha = 0, gamma = P - 2 alpha tr(H^-1) is P and H is not inverted."""
-    if alpha == 0.0:
-        trace_inv = 0.0
+    At alpha = 0, gamma = P - 2 alpha tr(H^-1) is P and H is not inverted;
+    with fewer rows of J than weights gamma comes from JJ' instead."""
+    if alpha != 0.0 and J.shape[0] < n_params:
+        gamma = _gram_gamma(J, alpha, beta)  # within [0, N]: nothing to clamp
     else:
-        H = 2.0 * beta * A + 2.0 * alpha * eye
-        try:
-            trace_inv = float(np.trace(np.linalg.inv(H)))
-        except np.linalg.LinAlgError:
-            trace_inv = float(np.trace(np.linalg.inv(H + mu * eye)))
-            rec.notes.append("damped ill-conditioned Hessian in evidence update")
-    gamma = n_params - 2.0 * alpha * trace_inv
-    if gamma < 0.0 or gamma > n_params:
-        rec.notes.append(f"gamma {gamma:.6g} clamped into [0, {n_params}]")
-        gamma = min(max(gamma, 0.0), float(n_params))
+        if alpha == 0.0:
+            trace_inv = 0.0
+        else:
+            H = 2.0 * beta * A + 2.0 * alpha * eye
+            try:
+                trace_inv = float(np.trace(np.linalg.inv(H)))
+            except np.linalg.LinAlgError:
+                trace_inv = float(np.trace(np.linalg.inv(H + mu * eye)))
+                rec.notes.append("damped ill-conditioned Hessian in evidence update")
+        gamma = n_params - 2.0 * alpha * trace_inv
+        if gamma < 0.0 or gamma > n_params:
+            rec.notes.append(f"gamma {gamma:.6g} clamped into [0, {n_params}]")
+            gamma = min(max(gamma, 0.0), float(n_params))
     rec.gammas.append(gamma)
     weight_norm = float(theta @ theta)
     alpha = max(gamma / (2.0 * max(weight_norm, 1e-300)), 1e-12)

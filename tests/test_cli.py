@@ -241,6 +241,7 @@ class TestConfigValidation:
         ("[experiment]\nrepeats = 3\n", ["[experiment]", "repeats"]),
         ("[synthetic]\nseed = 3\n", ["[synthetic]", "seed"]),
         ("[train]\nmu_max = inf\n", ["mu_max"]),
+        ("[indicators]\ncci_scale = inf\n", ["cci_scale"]),
     ])
     def test_rejected_with_section_and_key(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "c.ini"

@@ -401,6 +401,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="cci_mode"):
             IndicatorConfig(cci_mode="bogus")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["bb_k", "cci_scale"])
+    def test_scale_must_be_positive_and_finite(self, name, value):
+        # cci_scale = inf used to write an all-zero CCI column into PCA
+        with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite$"):
+            IndicatorConfig(**{name: value})
+
 
 class TestCsvDump:
     def test_missing_values_serialized_empty(self, tmp_path):

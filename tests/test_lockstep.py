@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 import aeroforecast.experiments as exp
+import aeroforecast.trainers as trainers
 import oracles
 from aeroforecast.experiments import ExperimentSpec
 from aeroforecast.rnn import (SequenceDataset, forward_states, gradient_sse, init_rnn,
                               prediction_jacobian)
-from aeroforecast.trainers import TrainConfig, TrainRecord, train_repeats
+from aeroforecast.trainers import GAUSS_NEWTON_BYTES, TrainConfig, TrainRecord, train_repeats
 from helpers import make_bundle
 
 
@@ -135,6 +136,41 @@ class TestTrainRepeats:
         if R == 10:  # repeats stop at different epochs: the active set shrinks
             assert len({rec.total_epochs for _, rec in got}) > 1
 
+    @pytest.mark.parametrize("R", [1, 2, 10])
+    @pytest.mark.parametrize("activation,per_set", [("tanh", False), ("identity", True)])
+    @pytest.mark.parametrize("algorithm", ["lm", "br"])
+    def test_fewer_rows_than_weights_match_training_alone(self, algorithm, activation,
+                                                          per_set, R):
+        """n_train = 35 < P = 51: every trial step and gamma come from the
+        spectrum of the Gram matrix JJ'."""
+        models, datas, trains, vals = stacked_problem(40 + R, R, 3, 5, 50, activation, per_set)
+        assert len(trains[0]) < models[0].n_params
+        if R > 1:
+            vals[1] = []  # a repeat without a validation set
+        cfg = TrainConfig(algorithm=algorithm, max_epochs=25, val_patience=2)
+        got = train_repeats(models, datas, trains, vals, cfg)
+        want = [oracles.train_alone(*args, cfg) for args in zip(models, datas, trains, vals)]
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+
+    @pytest.mark.parametrize("algorithm", ["lm", "br"])
+    def test_groups_are_sized_by_the_matrices_held(self, monkeypatch, algorithm):
+        """P = 811 and n_train = 42: one P x P matrix would not fit
+        GAUSS_NEWTON_BYTES, but the P x n matrices of all three repeats do,
+        so they advance as one group."""
+        models, datas, trains, vals = stacked_problem(31, 3, 1, 27, 60)
+        P, n = models[0].n_params, len(trains[0])
+        assert 8 * P * P > GAUSS_NEWTON_BYTES >= 3 * 8 * P * n
+        groups, lockstep = [], trainers._lockstep
+        monkeypatch.setattr(trainers, "_lockstep",
+                            lambda objs, cfg: groups.append(len(objs)) or lockstep(objs, cfg))
+        cfg = TrainConfig(algorithm=algorithm, max_epochs=6, val_patience=2)
+        got = train_repeats(models, datas, trains, vals, cfg)
+        assert groups == [3]
+        want = [oracles.train_alone(*args, cfg) for args in zip(models, datas, trains, vals)]
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+
     @pytest.mark.parametrize("algorithm", ["lm", "br", "scg"])
     def test_an_overflowing_repeat_fails_alone(self, algorithm):
         models, datas, trains, vals = stacked_problem(11, 4, 2, 3, 200, "identity")
@@ -201,14 +237,26 @@ class TestCellsInLockstep:
         spec = ExperimentSpec(company_label="ACME", feature_set="mixed", algorithm=algorithm,
                               n_hidden=3, delay=5, repeats=repeats, base_seed=17,
                               pca_scope=pca_scope, split_mode=split_mode)
-        cfg = TrainConfig(max_epochs=8)
-        seeds = [spec.base_seed + r for r in range(repeats)]
-        got = exp._run_repeats(spec, bundle, seeds, cfg)
-        monkeypatch.setattr(exp, "train_repeats", train_each_alone)
-        want = exp._run_repeats(spec, bundle, seeds, cfg)
-        for g, w in zip(got, want):
-            assert (dataclasses.replace(g.result, seconds=0.0)
-                    == dataclasses.replace(w.result, seconds=0.0))
-            assert g.model.params_to_vector().tobytes() == w.model.params_to_vector().tobytes()
-            assert_same_record(g.record, w.record)
-            assert g.prediction_rows == w.prediction_rows
+        assert_cells_match_training_alone(spec, bundle, monkeypatch)
+
+    @pytest.mark.parametrize("algorithm", ["lm", "br"])
+    def test_fewer_rows_than_weights_match_training_alone(self, bundle, monkeypatch, algorithm):
+        """10 hidden units: P = 151 weights against 78 training rows."""
+        spec = ExperimentSpec(company_label="ACME", feature_set="mixed", algorithm=algorithm,
+                              n_hidden=10, delay=5, repeats=10, base_seed=17,
+                              pca_scope="train", split_mode="random")
+        assert_cells_match_training_alone(spec, bundle, monkeypatch)
+
+
+def assert_cells_match_training_alone(spec, bundle, monkeypatch):
+    cfg = TrainConfig(max_epochs=8)
+    seeds = [spec.base_seed + r for r in range(spec.repeats)]
+    got = exp._run_repeats(spec, bundle, seeds, cfg)
+    monkeypatch.setattr(exp, "train_repeats", train_each_alone)
+    want = exp._run_repeats(spec, bundle, seeds, cfg)
+    for g, w in zip(got, want):
+        assert (dataclasses.replace(g.result, seconds=0.0)
+                == dataclasses.replace(w.result, seconds=0.0))
+        assert g.model.params_to_vector().tobytes() == w.model.params_to_vector().tobytes()
+        assert_same_record(g.record, w.record)
+        assert g.prediction_rows == w.prediction_rows

@@ -254,6 +254,14 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="^unknown quarterly_pattern 'weekly'$"):
             SyntheticSpec(seed=1, n_days=100, quarterly_pattern="weekly")
 
+    @pytest.mark.parametrize("name, value", [
+        ("drift", math.nan), ("drift", math.inf), ("drift", -math.inf),
+        ("volatility", math.nan), ("volatility", math.inf),
+    ])
+    def test_non_finite_rates_are_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            SyntheticSpec(seed=1, n_days=100, **{name: value})
+
     def test_different_patterns_differ(self):
         flat = generate_synthetic(SyntheticSpec(seed=3, n_days=300,
                                                 quarterly_pattern="flat"))[1]

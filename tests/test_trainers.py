@@ -501,3 +501,58 @@ class TestSharedLeastSquaresCore:
         runs = [fn(TestDampingOverflow.constant_residuals, TestDampingOverflow.ones_jacobian,
                    np.ones(3), cfg) for fn in (core, reference)]
         assert_same_run(*runs)
+
+
+class TestGramSpectrum:
+    """With fewer residuals than weights (N < P), the damped trial steps
+    and BR's gamma come from one eigendecomposition of the N x N Gram
+    matrix JJ'.  They agree with the P x P solve and inverse, computed
+    independently, and training makes neither."""
+
+    @staticmethod
+    def problem(seed, n=20, n_params=60):
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((n, n_params)) * rng.uniform(0.1, 3.0, size=n_params)
+        return J, rng.standard_normal(n), rng.standard_normal(n_params)
+
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.03, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trial_step_matches_the_primal_solve(self, seed, alpha, mu):
+        J, r, theta = self.problem(seed)
+        beta = 1.0 if alpha == 0.0 else 0.7
+        step = trainers._dual_steps(*trainers._gram_spectrum(J, r), theta, alpha, beta)
+        want = np.linalg.solve(beta * (J.T @ J) + (alpha + mu) * np.eye(theta.size),
+                               -(beta * (J.T @ r) + alpha * theta))
+        assert np.linalg.norm(step(mu) - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 20.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gamma_matches_the_trace_of_the_inverse(self, seed, alpha):
+        J, r, theta = self.problem(seed)
+        beta, n_params = 1.3, theta.size
+        rec = TrainRecord()
+        lam = trainers._gram_spectrum(J, r)[0]
+        trainers._evidence_update(lam, theta, 5.0, len(r), alpha, beta, 1e-3, rec)
+        H = 2.0 * beta * (J.T @ J) + 2.0 * alpha * np.eye(n_params)
+        want = n_params - 2.0 * alpha * float(np.trace(np.linalg.inv(H)))
+        assert rec.gammas == [pytest.approx(want, rel=1e-9)]
+        assert 0.0 <= rec.gammas[0] <= len(r)
+        assert rec.notes == []
+
+    @pytest.mark.parametrize("algorithm", ["lm", "br"])
+    def test_trains_without_a_p_by_p_solve_or_inverse(self, monkeypatch, algorithm):
+        def refuse(*args, **kwargs):
+            raise AssertionError("P x P solve or inverse with fewer rows than weights")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        model = init_rnn(2, 6, 1, seed=5)
+        data = noisy_dataset(9, T=60, n_input=2)
+        train_idx = np.arange(40)
+        assert len(train_idx) < model.n_params  # 40 rows, 61 weights
+        _, rec = train(model, data, train_idx, np.arange(40, 50),
+                       TrainConfig(algorithm=algorithm, max_epochs=15))
+        assert rec.step_deltas
+        if algorithm == "br":  # re-estimated at alpha > 0: gamma bounded by the row count
+            assert len(rec.gammas) > 1 and rec.gammas[-1] <= len(train_idx)
