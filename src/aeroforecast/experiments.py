@@ -197,9 +197,14 @@ def _run_repeats(spec: ExperimentSpec, bundle: CompanyBundle, seeds,
                  cfg: TrainConfig) -> list:
     """One seeded split/fit/train/evaluate pass per seed, trained in
     lockstep; a RepeatArtifacts, or the exception raised, per seed."""
-    features = bundle.features_for(spec.feature_set)
     target = bundle.aligned.target
     n_pairs = len(target) - spec.delay
+    if n_pairs < MIN_SPLIT_SAMPLES:
+        raise ValueError(
+            f"{bundle.label}: {max(n_pairs, 0)} usable pairs after delay {spec.delay}; "
+            f"need >= {MIN_SPLIT_SAMPLES}"
+        )
+    features = bundle.features_for(spec.feature_set)
     outcomes, jobs, fitted = {}, [], {}  # model inputs by the rows they are fitted on
     for seed in seeds:
         try:
@@ -275,12 +280,6 @@ def run_experiment(spec: ExperimentSpec, bundle: CompanyBundle,
     """
     if cfg is None:
         cfg = TrainConfig(algorithm=spec.algorithm)
-    n_pairs = len(bundle.aligned.target) - spec.delay
-    if n_pairs < MIN_SPLIT_SAMPLES:
-        raise ValueError(
-            f"{bundle.label}: {n_pairs} usable pairs after delay {spec.delay}; "
-            f"need >= {MIN_SPLIT_SAMPLES}"
-        )
     result = ExperimentResult(spec=spec)
     best_mse = np.inf
     seeds = [spec.base_seed + r for r in range(spec.repeats)]

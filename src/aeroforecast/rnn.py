@@ -13,12 +13,12 @@ forward sensitivity propagation, which yields the same exact values
 through an independent recursion and so cross-checks the reverse-mode
 gradient.
 
-Parameter vector layout (used by the trainers and both derivative
-routines): U row-major, then W row-major, then V, then b_h, then b_y.
+A model stores the parameter vector ``theta`` that the trainers work on;
+U, W, V, b_h and b_y are views of it, and ``_views`` holds the offsets of
+its layout: U row-major, then W row-major, then V, then b_h, then b_y.
 
-Stacked parameters: a model whose arrays carry a leading axis of length
-R (U (R, h, j), ..., b_y (R,)) holds R parameter sets; ``with_params``
-builds one from (R, P) parameter vectors.  ``forward_states`` and
+Stacked parameters: a model whose ``theta`` is (R, P) holds R parameter
+sets, with views U (R, h, j), ..., b_y (R,).  ``forward_states`` and
 ``gradient_sse`` step all R sets through one time loop, and one set is
 the R = 1 case.  Jacobians are formed one parameter set at a time: a
 stack would hold R times their work arrays and results.  Inputs
@@ -52,6 +52,21 @@ _DERIV_FROM_VALUE = {
     "identity": lambda v: np.ones_like(v),
 }
 _SUM_CHUNK = 64  # steps of outer products in memory at once for the gradient sums
+_NAMES = ("U", "W", "V", "b_h", "b_y")  # the arrays of the parameter layout, in order
+
+
+def _n_params(n_hidden: int, n_input: int) -> int:
+    return n_hidden * n_input + n_hidden * n_hidden + n_hidden + n_hidden + 1
+
+
+def _views(array: np.ndarray, n_hidden: int, n_input: int) -> tuple:
+    """U, W, V, b_h and b_y as views of the (..., P) ``array``, with its
+    leading axes: the one place that knows the layout's offsets."""
+    h, j = n_hidden, n_input
+    lead = array.shape[:-1]
+    v = h * j + h * h  # V's offset, after U and W
+    return (array[..., :h * j].reshape(lead + (h, j)), array[..., h * j:v].reshape(lead + (h, h)),
+            array[..., v:v + h], array[..., v + h:v + 2 * h], array[..., v + 2 * h])
 
 
 @dataclass(frozen=True)
@@ -59,11 +74,7 @@ class RnnModel:
     n_input: int
     n_hidden: int
     delay_tau: int
-    U: np.ndarray  # (n_hidden, n_input); all arrays get a leading R when stacked
-    W: np.ndarray  # (n_hidden, n_hidden)
-    V: np.ndarray  # (n_hidden,)
-    b_h: np.ndarray  # (n_hidden,)
-    b_y: float
+    theta: np.ndarray  # (P,), or (R, P) when stacked: the only copy of the weights
     hidden_activation: str = "tanh"
 
     def __post_init__(self):
@@ -71,59 +82,53 @@ class RnnModel:
             raise ValueError(f"delay_tau must be >= 1, got {self.delay_tau}")
         if self.hidden_activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.hidden_activation!r}")
-        lead = np.shape(self.b_y)  # (R,) when stacked
-        shapes = {
-            "U": lead + (self.n_hidden, self.n_input),
-            "W": lead + (self.n_hidden, self.n_hidden),
-            "V": lead + (self.n_hidden,),
-            "b_h": lead + (self.n_hidden,),
-        }
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, want {want}")
-        for name in shapes:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
-        if not np.all(np.isfinite(self.b_y)):
-            raise ValueError("b_y is not finite")
+        if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != self.n_params:
+            raise ValueError(f"parameter vector has shape {self.theta.shape}, "
+                             f"want ({self.n_params},) or (R, {self.n_params})")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("parameter vector contains non-finite entries")
+
+    @classmethod
+    def from_arrays(cls, n_input: int, n_hidden: int, delay_tau: int, U, W, V, b_h, b_y,
+                    hidden_activation: str = "tanh") -> "RnnModel":
+        """The model with copies of U, W, V, b_h and b_y (a leading R on each
+        for R sets) as weights; an array of the wrong shape raises ValueError."""
+        theta = np.empty(np.shape(b_y) + (_n_params(n_hidden, n_input),))
+        for name, view, part in zip(_NAMES, _views(theta, n_hidden, n_input), (U, W, V, b_h, b_y)):
+            if np.shape(part) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(part)}, want {view.shape}")
+            view[...] = part
+        return cls(n_input, n_hidden, delay_tau, theta, hidden_activation)
 
     @property
     def n_params(self) -> int:
         """Parameters of one set: P."""
-        h, j = self.n_hidden, self.n_input
-        return h * j + h * h + h + h + 1
+        return _n_params(self.n_hidden, self.n_input)
 
     @property
     def stacked(self) -> bool:
-        return np.ndim(self.b_y) == 1
+        return self.theta.ndim == 2
+
+    @property
+    def weights(self) -> tuple:
+        """U, W, V, b_h and b_y, views of ``theta``; b_y is a float for one set."""
+        U, W, V, b_h, b_y = _views(self.theta, self.n_hidden, self.n_input)
+        return U, W, V, b_h, (b_y if self.stacked else float(b_y))
+
+    U = property(lambda self: self.weights[0])
+    W = property(lambda self: self.weights[1])
+    V = property(lambda self: self.weights[2])
+    b_h = property(lambda self: self.weights[3])
+    b_y = property(lambda self: self.weights[4])
 
     def params_to_vector(self) -> np.ndarray:
         """(P,), or (R, P) when stacked."""
-        lead = np.shape(self.b_y)
-        return np.concatenate([self.U.reshape(lead + (-1,)), self.W.reshape(lead + (-1,)),
-                               self.V, self.b_h, np.reshape(self.b_y, lead + (1,))],
-                              axis=-1)
+        return self.theta.copy()
 
     def with_params(self, theta: np.ndarray) -> "RnnModel":
-        """This model with parameters ``theta``: one (P,) vector, or an
-        (R, P) stack of them for a stacked model."""
-        h, j = self.n_hidden, self.n_input
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != self.n_params:
-            raise ValueError(f"parameter vector has shape {theta.shape}, "
-                             f"want ({self.n_params},) or (R, {self.n_params})")
-        lead = theta.shape[:-1]
-        o1 = h * j
-        o2 = o1 + h * h
-        return dataclasses.replace(
-            self,
-            U=theta[..., :o1].reshape(lead + (h, j)).copy(),
-            W=theta[..., o1:o2].reshape(lead + (h, h)).copy(),
-            V=theta[..., o2:o2 + h].copy(),
-            b_h=theta[..., o2 + h:o2 + 2 * h].copy(),
-            b_y=theta[:, -1].copy() if lead else float(theta[-1]),
-        )
+        """This model with a copy of ``theta`` as its parameters: one (P,)
+        vector, or an (R, P) stack of them for a stacked model."""
+        return dataclasses.replace(self, theta=np.array(theta, dtype=float))
 
 
 def init_rnn(n_input: int, n_hidden: int, delay_tau: int, seed: int,
@@ -135,7 +140,7 @@ def init_rnn(n_input: int, n_hidden: int, delay_tau: int, seed: int,
     def draw(shape, fan_in):
         return rng.uniform(-0.5, 0.5, size=shape) / np.sqrt(fan_in)
 
-    return RnnModel(
+    return RnnModel.from_arrays(
         n_input=n_input,
         n_hidden=n_hidden,
         delay_tau=delay_tau,
@@ -184,16 +189,6 @@ def build_supervised(features, target, tau: int = 1) -> SequenceDataset:
     return SequenceDataset(inputs=matrix[:T - tau].copy(), targets=series[tau:].copy())
 
 
-def _sets(model: RnnModel, *arrays):
-    """``arrays`` of ``model``'s parameter sets with a leading set axis:
-    as they are for a stacked model, with one added for a single set."""
-    return arrays if model.stacked else tuple(np.asarray(a)[None] for a in arrays)
-
-
-def _unstack(model: RnnModel, result: np.ndarray) -> np.ndarray:
-    return result if model.stacked else result[0]
-
-
 def _rows(index_subset, R: int, N: int) -> np.ndarray:
     """Row indices as an (R, n) array: all rows, or one subset (shared or per set)."""
     idx = np.arange(N) if index_subset is None else np.asarray(index_subset)
@@ -225,7 +220,7 @@ def forward_states(model: RnnModel, dataset: SequenceDataset, check: bool = True
             f"dataset has {dataset.inputs.shape[-1]} features, model wants {model.n_input}"
         )
     f_h = _ACTIVATIONS[model.hidden_activation]
-    U, W, V, b_h, b_y = _sets(model, model.U, model.W, model.V, model.b_h, model.b_y)
+    U, W, V, b_h, b_y = _views(np.atleast_2d(model.theta), model.n_hidden, model.n_input)
     R, N, h = U.shape[0], len(dataset), model.n_hidden
     pre = np.matmul(dataset.inputs, U.transpose(0, 2, 1))  # (R, N, h)
     pre += b_h[:, None, :]
@@ -244,7 +239,7 @@ def forward_states(model: RnnModel, dataset: SequenceDataset, check: bool = True
         for error in map(state_error, H, preds):
             if error is not None:
                 raise error
-    return _unstack(model, H), _unstack(model, preds)
+    return (H, preds) if model.stacked else (H[0], preds[0])
 
 
 def forward(model: RnnModel, dataset: SequenceDataset) -> np.ndarray:
@@ -279,7 +274,8 @@ def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None,
     stacked.
     """
     H, preds = forward_states(model, dataset) if states is None else states
-    W, V, H, preds = _sets(model, model.W, model.V, H, preds)
+    _, W, V, _, _ = _views(np.atleast_2d(model.theta), model.n_hidden, model.n_input)
+    H, preds = (H, preds) if model.stacked else (H[None], preds[None])
     R, N, h = H.shape
     j = model.n_input
     targets = np.broadcast_to(dataset.targets, (R, N))
@@ -309,9 +305,10 @@ def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None,
     dUb = _outer_sum_in_order(back, X1.transpose(1, 0, 2)[::-1])
     dW = _outer_sum_in_order(back[:-1], H.transpose(1, 0, 2)[-2::-1])
     dV = np.matmul(H.transpose(0, 2, 1), dy[:, :, None])[..., 0]
-    grad = np.concatenate([dUb[..., :j].reshape(R, -1), dW.reshape(R, -1), dV,
-                           dUb[..., j], dy.sum(axis=1)[:, None]], axis=1)
-    return _unstack(model, grad)
+    grad = np.empty((R, model.n_params))
+    for view, part in zip(_views(grad, h, j), (dUb[..., :j], dW, dV, dUb[..., j], dy.sum(axis=1))):
+        view[...] = part
+    return grad if model.stacked else grad[0]
 
 
 def _outer_sum_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -360,21 +357,19 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
     H, _ = forward_states(model, dataset) if states is None else states
     N, h = H.shape
     j = model.n_input
-    m = j + h + 1
-    hm = h * m
-    # Neuron-major sensitivity columns, then V, then b_y.
+    hm = h * (j + h + 1)
+    # Neuron-major sensitivity columns [U_i, W_i, b_h,i] of each neuron i, then V, then b_y.
     JS = np.empty((N, hm + h + 1))
     _sensitivity_rows(model, dataset.inputs, H, out=JS[:, :hm])
     JS[:, hm:hm + h] = H
     JS[:, -1] = 1.0
 
     # JS column of each parameter, in the documented layout.
-    neuron = np.arange(h)[:, None]
-    column = np.concatenate([(neuron * m + np.arange(j)).ravel(),  # U
-                             (neuron * m + j + np.arange(h)).ravel(),  # W
-                             hm + np.arange(h),  # V
-                             np.arange(h) * m + j + h,  # b_h
-                             [hm + h]])  # b_y
+    blocks = np.arange(hm).reshape(h, -1)  # neuron i's columns [U_i, W_i, b_h,i]
+    column = np.empty(model.n_params, dtype=int)
+    for view, part in zip(_views(column, h, j), (blocks[:, :j], blocks[:, j:-1],
+                                                 hm + np.arange(h), blocks[:, -1], hm + h)):
+        view[...] = part
     rows = np.arange(N) if index_subset is None else np.asarray(index_subset)
     return JS[rows[:, None], column]
 
@@ -397,8 +392,9 @@ def _sensitivity_rows(model: RnnModel, X: np.ndarray, H: np.ndarray, out: np.nda
     B[:, -1] = 1.0
     WD = np.empty((N, h, h))  # W D_{t-1}; zero at t = 0, where G_{-1} = 0 anyway
     WD[0] = 0.0
-    np.multiply(model.W, D[:-1, None, :], out=WD[1:])
-    VD = model.V * D
+    _, W, V, _, _ = _views(model.theta, h, j)
+    np.multiply(W, D[:-1, None, :], out=WD[1:])
+    VD = V * D
     # Two buffers take turns as G_{t-1} and G_t; entry [i, i*m + c] of
     # each is block i's diagonal entry c.
     G_prev, G = np.zeros((h, hm)), np.empty((h, hm))
@@ -419,8 +415,9 @@ def rescale_output(model: RnnModel, scale: float, offset: float) -> RnnModel:
     Exact for the linear output; used to return models in natural
     target units after training against standardized targets.
     """
-    return dataclasses.replace(model, V=model.V * scale,
-                               b_y=model.b_y * scale + offset)
+    U, W, V, b_h, b_y = model.weights
+    return RnnModel.from_arrays(model.n_input, model.n_hidden, model.delay_tau, U, W,
+                                V * scale, b_h, b_y * scale + offset, model.hidden_activation)
 
 
 MODEL_FORMAT = "aeroforecast-rnn-v1"
@@ -435,11 +432,8 @@ def save_model(path, model: RnnModel) -> None:
         "delay_tau": model.delay_tau,
         "hidden_activation": model.hidden_activation,
         "output_activation": "identity",
-        "U": model.U.tolist(),
-        "W": model.W.tolist(),
-        "V": model.V.tolist(),
-        "b_h": model.b_h.tolist(),
-        "b_y": model.b_y,
+        **{name: part.tolist()
+           for name, part in zip(_NAMES, _views(model.theta, model.n_hidden, model.n_input))},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -454,14 +448,10 @@ def load_model(path) -> RnnModel:
     if doc.get("output_activation") != "identity":
         raise ValueError(f"{path}: output_activation {doc.get('output_activation')!r} "
                          "is not 'identity', the only output the model has")
-    return RnnModel(
-        n_input=int(doc["n_input"]),
-        n_hidden=int(doc["n_hidden"]),
-        delay_tau=int(doc["delay_tau"]),
-        U=np.array(doc["U"], dtype=float),
-        W=np.array(doc["W"], dtype=float),
-        V=np.array(doc["V"], dtype=float),
-        b_h=np.array(doc["b_h"], dtype=float),
-        b_y=float(doc["b_y"]),
+    return RnnModel.from_arrays(
+        int(doc["n_input"]),
+        int(doc["n_hidden"]),
+        int(doc["delay_tau"]),
+        *(np.array(doc[name], dtype=float) for name in _NAMES),
         hidden_activation=doc["hidden_activation"],
     )

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -545,15 +545,3 @@ def train(model, data, train_idx, val_idx, cfg: TrainConfig):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def train_lm(model, data, train_idx, val_idx, cfg: TrainConfig):
-    return train(model, data, train_idx, val_idx, replace(cfg, algorithm="lm"))
-
-
-def train_br(model, data, train_idx, val_idx, cfg: TrainConfig):
-    return train(model, data, train_idx, val_idx, replace(cfg, algorithm="br"))
-
-
-def train_scg(model, data, train_idx, val_idx, cfg: TrainConfig):
-    return train(model, data, train_idx, val_idx, replace(cfg, algorithm="scg"))

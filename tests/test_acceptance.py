@@ -13,6 +13,7 @@ import csv
 import hashlib
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from aeroforecast.pca import fit_pca, inverse_transform, transform
 from aeroforecast.rnn import (SequenceDataset, forward, gradient_sse,
                               init_rnn, prediction_jacobian)
 from aeroforecast.trainers import (TrainConfig, br_least_squares,
-                                   lm_least_squares, scg_minimize, train_lm)
+                                   lm_least_squares, scg_minimize, train)
 from helpers import make_bundle, make_random_bars, make_smooth_bars, technical_aligned
 
 
@@ -224,8 +225,8 @@ class TestCriterion5Optimizers:
         x = rng.uniform(-1.0, 1.0, size=40)
         data = SequenceDataset(inputs=x[:, None], targets=2.0 * x + 1.0)
         model = init_rnn(1, 1, 1, seed=3, hidden_activation="identity")
-        trained, rec = train_lm(model, data, np.arange(40), [],
-                                TrainConfig(max_epochs=20))
+        trained, rec = train(model, data, np.arange(40), [],
+                             replace(TrainConfig(max_epochs=20), algorithm="lm"))
         slope, intercept = np.polyfit(x, forward(trained, data), 1)
         assert rec.total_epochs <= 20
         assert abs(slope - 2.0) <= 1e-8 and abs(intercept - 1.0) <= 1e-8

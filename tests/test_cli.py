@@ -125,6 +125,12 @@ class TestTrain:
         assert len(curve) - 1 <= 4
         assert int(curve[1][0]) == 1
 
+    def test_delay_longer_than_the_series_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_config(tmp_path, out), "--delay", "1300"]) == 2
+        assert "ACME: 0 usable pairs after delay 1300" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predictions_mse_matches_reported(self, tmp_path):
         out = tmp_path / "out"
         main(["train", "--config", write_config(tmp_path, out)])

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,9 +78,9 @@ class TestForward:
         assert np.array_equal(forward(model, data), np.zeros(20))
 
     def test_hand_recursion_single_neuron(self):
-        model = RnnModel(n_input=1, n_hidden=1, delay_tau=1,
-                         U=np.array([[1.0]]), W=np.array([[0.0]]),
-                         V=np.array([1.0]), b_h=np.zeros(1), b_y=0.0)
+        model = RnnModel.from_arrays(n_input=1, n_hidden=1, delay_tau=1,
+                                     U=np.array([[1.0]]), W=np.array([[0.0]]),
+                                     V=np.array([1.0]), b_h=np.zeros(1), b_y=0.0)
         X = np.zeros((4, 1))
         X[0, 0] = 0.5
         preds = forward(model, SequenceDataset(inputs=X, targets=np.zeros(4)))
@@ -149,9 +151,9 @@ class TestGradient:
         assert np.abs(grad).max() == 0.0
 
     def test_single_step_hand_chain_rule(self):
-        model = RnnModel(n_input=1, n_hidden=1, delay_tau=1,
-                         U=np.array([[0.7]]), W=np.array([[0.3]]),
-                         V=np.array([1.2]), b_h=np.array([0.1]), b_y=0.2)
+        model = RnnModel.from_arrays(n_input=1, n_hidden=1, delay_tau=1,
+                                     U=np.array([[0.7]]), W=np.array([[0.3]]),
+                                     V=np.array([1.2]), b_h=np.array([0.1]), b_y=0.2)
         x, y = 0.4, 1.5
         data = SequenceDataset(inputs=np.array([[x]]), targets=np.array([y]))
         h = math.tanh(0.7 * x + 0.1)
@@ -331,9 +333,29 @@ class TestModelBasics:
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            RnnModel(n_input=1, n_hidden=1, delay_tau=1,
-                     U=np.array([[np.inf]]), W=np.zeros((1, 1)),
-                     V=np.zeros(1), b_h=np.zeros(1), b_y=0.0)
+            RnnModel.from_arrays(n_input=1, n_hidden=1, delay_tau=1,
+                                 U=np.array([[np.inf]]), W=np.zeros((1, 1)),
+                                 V=np.zeros(1), b_h=np.zeros(1), b_y=0.0)
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    def test_with_params_copies_its_input(self, stack):
+        model = init_rnn(2, 3, 1, seed=54)
+        theta = model.params_to_vector()
+        if stack is not None:
+            theta = np.stack([theta + r for r in range(stack)])
+        before = theta.copy()
+        clone = model.with_params(theta)
+        theta += 1.0
+        assert np.array_equal(clone.params_to_vector(), before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_one_non_finite_entry_in_a_stack_rejected(self, r, bad):
+        model = init_rnn(2, 3, 1, seed=55)
+        thetas = np.stack([model.params_to_vector()] * 3)
+        thetas[r, 7 * r] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.with_params(thetas)
 
     def test_rescale_output_exact(self):
         model = init_rnn(2, 3, 1, seed=52)
@@ -359,6 +381,15 @@ class TestSerialization:
         path2 = tmp_path / "model2.json"
         save_model(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_transposed_weights_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, init_rnn(2, 3, 1, seed=62))
+        doc = json.loads(path.read_text())
+        doc["U"] = np.array(doc["U"]).T.tolist()  # (2, 3): as many entries as (3, 2)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape("U has shape (2, 3), want (3, 2)")):
+            load_model(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

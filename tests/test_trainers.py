@@ -10,8 +10,7 @@ from aeroforecast.rnn import (RnnModel, SequenceDataset, forward, forward_states
                               gradient_sse, init_rnn, loss_mse, prediction_jacobian)
 from aeroforecast.trainers import (RnnObjective, TrainConfig, TrainRecord,
                                    _EpochLog, br_least_squares,
-                                   lm_least_squares, scg_minimize, train,
-                                   train_br, train_lm, train_scg)
+                                   lm_least_squares, scg_minimize, train)
 
 
 def linear_identity_model(seed=0):
@@ -34,7 +33,7 @@ class TestLm:
         data = SequenceDataset(inputs=x[:, None], targets=y)
         model = linear_identity_model(seed=3)
         cfg = TrainConfig(algorithm="lm", max_epochs=20)
-        trained, rec = train_lm(model, data, np.arange(40), [], cfg)
+        trained, rec = train(model, data, np.arange(40), [], cfg)
         preds = forward(trained, data)
         slope, intercept = np.polyfit(x, preds, 1)
         assert rec.total_epochs <= 20
@@ -45,7 +44,7 @@ class TestLm:
         model = init_rnn(2, 3, 1, seed=4).with_params(np.zeros(6 + 9 + 3 + 3 + 1))
         data = SequenceDataset(inputs=np.random.default_rng(5).standard_normal((20, 2)),
                                targets=np.zeros(20))
-        trained, rec = train_lm(model, data, np.arange(20), [], TrainConfig())
+        trained, rec = train(model, data, np.arange(20), [], TrainConfig(algorithm="lm"))
         assert rec.total_epochs == 1
         assert rec.stop_reason == "converged"
         assert np.array_equal(trained.params_to_vector(), model.params_to_vector())
@@ -85,8 +84,8 @@ class TestLm:
     def test_accepted_steps_strictly_decrease_sse(self):
         model = init_rnn(2, 4, 1, seed=7)
         data = noisy_dataset(8)
-        _, rec = train_lm(model, data, np.arange(40), np.arange(40, 60),
-                          TrainConfig(max_epochs=50))
+        _, rec = train(model, data, np.arange(40), np.arange(40, 60),
+                       TrainConfig(algorithm="lm", max_epochs=50))
         assert rec.step_deltas and max(rec.step_deltas) < 0
         # the recorded train curve never increases for LM
         assert all(b <= a + 1e-15 for a, b in zip(rec.train_mse, rec.train_mse[1:]))
@@ -127,8 +126,8 @@ class TestScg:
     def test_accepted_steps_never_increase_mse(self):
         model = init_rnn(2, 4, 1, seed=10)
         data = noisy_dataset(11)
-        _, rec = train_scg(model, data, np.arange(40), np.arange(40, 60),
-                           TrainConfig(algorithm="scg", max_epochs=80))
+        _, rec = train(model, data, np.arange(40), np.arange(40, 60),
+                       TrainConfig(algorithm="scg", max_epochs=80))
         assert rec.step_deltas and max(rec.step_deltas) <= 0
 
 
@@ -137,8 +136,8 @@ class TestBr:
         # alpha starts at 0, so gamma = P - 2*alpha*tr(H^-1) = P exactly
         model = init_rnn(2, 3, 1, seed=12)
         data = noisy_dataset(13)
-        _, rec = train_br(model, data, np.arange(40), np.arange(40, 60),
-                          TrainConfig(algorithm="br", max_epochs=5))
+        _, rec = train(model, data, np.arange(40), np.arange(40, 60),
+                       TrainConfig(algorithm="br", max_epochs=5))
         assert rec.gammas
         assert rec.gammas[0] == float(model.n_params)
 
@@ -146,15 +145,15 @@ class TestBr:
         for seed in range(6):
             model = init_rnn(2, 3, 1, seed=20 + seed)
             data = noisy_dataset(30 + seed)
-            _, rec = train_br(model, data, np.arange(40), np.arange(40, 60),
-                              TrainConfig(algorithm="br", max_epochs=30))
+            _, rec = train(model, data, np.arange(40), np.arange(40, 60),
+                           TrainConfig(algorithm="br", max_epochs=30))
             assert all(0.0 <= g <= model.n_params for g in rec.gammas)
 
     def test_accepted_steps_decrease_objective(self):
         model = init_rnn(2, 4, 1, seed=14)
         data = noisy_dataset(15)
-        _, rec = train_br(model, data, np.arange(40), np.arange(40, 60),
-                          TrainConfig(algorithm="br", max_epochs=40))
+        _, rec = train(model, data, np.arange(40), np.arange(40, 60),
+                       TrainConfig(algorithm="br", max_epochs=40))
         assert rec.step_deltas and max(rec.step_deltas) < 0
 
     def test_regularization_pulls_weight_norm_down(self):
@@ -166,10 +165,8 @@ class TestBr:
             data = noisy_dataset(200 + seed, T=50)
             idx, val = np.arange(35), np.arange(35, 50)
             cfg = TrainConfig(max_epochs=60)
-            lm_model, _ = train_lm(model, data, idx, val,
-                                   dataclasses.replace(cfg, algorithm="lm"))
-            br_model, _ = train_br(model, data, idx, val,
-                                   dataclasses.replace(cfg, algorithm="br"))
+            lm_model, _ = train(model, data, idx, val, dataclasses.replace(cfg, algorithm="lm"))
+            br_model, _ = train(model, data, idx, val, dataclasses.replace(cfg, algorithm="br"))
             lm_norm = float(np.linalg.norm(lm_model.params_to_vector()))
             br_norm = float(np.linalg.norm(br_model.params_to_vector()))
             wins += br_norm <= lm_norm
@@ -178,8 +175,8 @@ class TestBr:
     def test_no_validation_early_stop_by_default(self):
         model = init_rnn(2, 3, 1, seed=16)
         data = noisy_dataset(17)
-        _, rec = train_br(model, data, np.arange(40), np.arange(40, 60),
-                          TrainConfig(algorithm="br", max_epochs=25))
+        _, rec = train(model, data, np.arange(40), np.arange(40, 60),
+                       TrainConfig(algorithm="br", max_epochs=25))
         assert rec.stop_reason != "val_patience"
         assert not np.isnan(rec.val_mse).any()  # still recorded
 
@@ -223,9 +220,9 @@ class TestSharedBehavior:
     def test_empty_training_set_rejected(self):
         model = init_rnn(2, 3, 1, seed=25)
         data = noisy_dataset(26)
-        for fn in (train_lm, train_br, train_scg):
+        for algo in ("lm", "br", "scg"):
             with pytest.raises(ValueError, match="empty"):
-                fn(model, data, [], [], TrainConfig())
+                train(model, data, [], [], TrainConfig(algorithm=algo))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -326,8 +323,8 @@ class TestLastEpochTakesNoStep:
 
         monkeypatch.setattr(trainers.np.linalg, "inv", no_inverse)
         model = init_rnn(2, 3, 1, seed=12)
-        _, rec = train_br(model, noisy_dataset(13), np.arange(40), np.arange(40, 60),
-                          TrainConfig(algorithm="br", max_epochs=max_epochs))
+        _, rec = train(model, noisy_dataset(13), np.arange(40), np.arange(40, 60),
+                       TrainConfig(algorithm="br", max_epochs=max_epochs))
         assert rec.stop_reason == "max_epochs" and rec.total_epochs == max_epochs
         assert rec.gammas == [float(model.n_params)] * (max_epochs - 2)
 

@@ -12,7 +12,11 @@ are blanked before the comparison; nothing else is.
 Sets (``--set`` may repeat; the default is all three):
 
 cli       ``synth``, ``features``, ``pca`` and ``train`` with ``--seed 11``
-          and no config: the two demo companies, 22 files.
+          and no config, then ``train --algo br`` and ``train --algo scg``,
+          each into its own subdirectory (``br/``, ``scg/``) so that no run
+          overwrites another's files: the two demo companies, 34 files.
+          The BR and SCG runs train on paper-scale series, with more
+          training rows than weights.
 grid      ``grid`` with criterion 8's ``GRID_CONFIG``, read from the change
           tree's ``tests/test_acceptance.py``: 221 files.
 features  ``features`` then ``pca`` on ``make_companies(901, 8, 5040)`` of
@@ -67,20 +71,23 @@ def grid_config(tree: str) -> str:
 
 
 def set_commands(name: str, change: str, work: str) -> list:
-    """The CLI argument lists of set ``name`` (each without ``--out``),
-    writing any input files they need into ``work``."""
+    """The commands of set ``name`` as ``(arguments, subdirectory)`` pairs:
+    the CLI arguments without ``--out``, and the subdirectory of the output
+    directory that the command writes into (None: the output directory
+    itself).  Any input files the commands need are written into ``work``."""
     if name == "cli":
-        return [[command, "--seed", str(CLI_SEED)]
-                for command in ("synth", "features", "pca", "train")]
+        seed = ["--seed", str(CLI_SEED)]
+        return ([([command, *seed], None) for command in ("synth", "features", "pca", "train")]
+                + [(["train", *seed, "--algo", algo], algo) for algo in ("br", "scg")])
     if name == "grid":
         config = os.path.join(work, "grid.ini")
         with open(config, "w", encoding="utf-8") as fh:
             fh.write(grid_config(change))
-        return [["grid", "--config", config]]
+        return [(["grid", "--config", config], None)]
     subprocess.run([sys.executable, "-c", WRITE_INPUTS, change, work, str(FEATURES_SEED)],
                    check=True)
     config = os.path.join(work, "features.ini")
-    return [["features", "--config", config], ["pca", "--config", config]]
+    return [(["features", "--config", config], None), (["pca", "--config", config], None)]
 
 
 def run_side(tree: str, commands: list, out: str) -> str:
@@ -89,8 +96,9 @@ def run_side(tree: str, commands: list, out: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
     env.pop("AEROFORECAST_SEED", None)
     transcript = []
-    for args in commands:
-        proc = subprocess.run([sys.executable, "-m", "aeroforecast.cli", *args, "--out", out],
+    for args, subdir in commands:
+        target = out if subdir is None else os.path.join(out, subdir)
+        proc = subprocess.run([sys.executable, "-m", "aeroforecast.cli", *args, "--out", target],
                               env=env, cwd=os.path.dirname(out), capture_output=True,
                               text=True)
         transcript.append(f"$ {' '.join(args)}\n{proc.stdout}[exit {proc.returncode}]\n")
