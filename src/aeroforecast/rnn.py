@@ -18,20 +18,22 @@ U, W, V, b_h and b_y are views of it, and ``_views`` holds the offsets of
 its layout: U row-major, then W row-major, then V, then b_h, then b_y.
 
 Stacked parameters: a model whose ``theta`` is (R, P) holds R parameter
-sets, with views U (R, h, j), ..., b_y (R,).  ``forward_states`` and
-``gradient_sse`` step all R sets through one time loop, and one set is
-the R = 1 case.  Jacobians are formed one parameter set at a time: a
-stack would hold R times their work arrays and results.  Inputs
+sets, with views U (R, h, j), ..., b_y (R,).  ``forward_states``,
+``gradient_sse``, ``prediction_jacobian`` and ``jacobian_products`` step
+all R sets through one time loop, and one set is the R = 1 case.  Inputs
 are shared ((N, j), (N,)) or per set ((R, N, j), (R, N)), a row subset
 shared (n,) or per set (R, n).  Every product is the same BLAS call on
 the same operands as for one set and every sum keeps its order, so each
-set gets the bytes it would get alone, for 1/R of the per-step cost.
+set gets the bytes it would get alone, for a fraction of the per-step
+cost.
 
 ``forward_states`` returns the hidden states with the predictions, and
-both derivative routines accept that pair as ``states`` instead of
+the derivative routines accept that pair as ``states`` instead of
 running the forward pass again.  The gradient's weight sums are formed
-after its backward loop; the Jacobian loop adds the direct dependence
-once per step, in neuron-major column order.
+after its backward loop.  The Jacobian rows come from a forward
+sensitivity loop a chunk of time steps at a time, so its work arrays
+are bounded: ``prediction_jacobian`` copies them into J, and
+``jacobian_products`` adds them up into J'J and J'e without holding J.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _DERIV_FROM_VALUE = {
     "identity": lambda v: np.ones_like(v),
 }
 _SUM_CHUNK = 64  # steps of outer products in memory at once for the gradient sums
+_CHUNK_BYTES = 1 << 18  # Jacobian rows of all sets in memory at once while J is formed
+_PRODUCT_STEPS = 128  # time steps per chunk of J'J and J'e: a constant, so no set's sums depend on R
 _NAMES = ("U", "W", "V", "b_h", "b_y")  # the arrays of the parameter layout, in order
 
 
@@ -331,82 +335,142 @@ def _outer_sum_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
-                        index_subset=None, states=None) -> np.ndarray:
-    """Rows d e_i / d theta = d pred_i / d theta for i in the subset, for
-    one parameter set (a stacked model raises ValueError).
+                        index_subset=None, states=None):
+    """Rows d e_i / d theta = d pred_i / d theta for i in the subset: an
+    (n, P) array for one parameter set, and for a stack a list of R such
+    arrays, each its own allocation, so that a caller can free them one
+    at a time.
+
+    The rows come from :func:`_sensitivity_rows`, an independent
+    recursion from the reverse-mode gradient, so 2 J^T e == gradient_sse
+    serves as a consistency check.  They are formed as many time steps
+    at a time as ``_CHUNK_BYTES`` holds for all sets; the chunk length
+    changes no byte of J.  ``states`` is ``forward_states(model, dataset)``
+    when the caller has it.
+    """
+    H = (forward_states(model, dataset) if states is None else states)[0]
+    H = H if model.stacked else H[None]
+    R, N, _ = H.shape
+    rows = _rows(index_subset, R, N)
+    J = [np.empty((rows.shape[1], model.n_params)) for _ in range(R)]
+    column = _layout_columns(model.n_hidden, model.n_input)
+    steps = max(1, _CHUNK_BYTES // (8 * R * model.n_params))
+    for s, JS in _sensitivity_rows(model, dataset.inputs, H, steps):
+        for J_r, rows_r, JS_r in zip(J, rows, JS):
+            at = np.flatnonzero((rows_r >= s) & (rows_r < s + len(JS_r)))
+            J_r[at] = JS_r[rows_r[at, None] - s, column]
+    return J if model.stacked else J[0]
+
+
+def jacobian_products(model: RnnModel, dataset: SequenceDataset,
+                      index_subset=None, states=None):
+    """J'J and J'e of the residuals e_i = pred_i - target_i, i in the
+    subset, without forming J: (P, P) and (P,) for one parameter set,
+    (R, P, P) and (R, P) for a stack.
+
+    Both are summed over chunks of ``_PRODUCT_STEPS`` time steps in time
+    order; a chunk adds Jc'Jc and Jc'ec, Jc holding the rows of its steps
+    in subset order.  The chunk length is a constant, so each set gets
+    the bytes it gets alone, and a subset that lies within one chunk
+    gets ``J.T @ J`` and ``J.T @ e`` of :func:`prediction_jacobian`'s J.
+    """
+    H, preds = forward_states(model, dataset) if states is None else states
+    H, preds = (H, preds) if model.stacked else (H[None], preds[None])
+    R, N, _ = H.shape
+    sets, rows = np.arange(R)[:, None], _rows(index_subset, R, N)
+    e = preds[sets, rows] - np.broadcast_to(dataset.targets, (R, N))[sets, rows]
+    first = rows.min(axis=1, initial=N) // _PRODUCT_STEPS * _PRODUCT_STEPS  # each set's first chunk
+    JJ, Je = np.zeros((R, model.n_params, model.n_params)), np.zeros((R, model.n_params))
+    column = _layout_columns(model.n_hidden, model.n_input)
+    for s, JS in _sensitivity_rows(model, dataset.inputs, H, _PRODUCT_STEPS):
+        for r, (rows_r, JS_r) in enumerate(zip(rows, JS)):
+            at = np.flatnonzero((rows_r >= s) & (rows_r < s + len(JS_r)))
+            if len(at) == 0:
+                continue
+            Jc = JS_r[rows_r[at, None] - s, column]
+            if s == first[r]:
+                JJ[r], Je[r] = Jc.T @ Jc, Jc.T @ e[r, at]
+            else:
+                JJ[r] += Jc.T @ Jc
+                Je[r] += Jc.T @ e[r, at]
+    return (JJ, Je) if model.stacked else (JJ[0], Je[0])
+
+
+def _layout_columns(h: int, j: int) -> np.ndarray:
+    """The column of :func:`_sensitivity_rows`' chunks that holds each
+    parameter of the documented layout."""
+    hm = h * (j + h + 1)
+    blocks = np.arange(hm).reshape(h, -1)  # neuron i's columns [U_i, W_i, b_h,i]
+    column = np.empty(_n_params(h, j), dtype=int)
+    for view, part in zip(_views(column, h, j), (blocks[:, :j], blocks[:, j:-1],
+                                                 hm + np.arange(h), blocks[:, -1], hm + h)):
+        view[...] = part
+    return column
+
+
+def _sensitivity_rows(model: RnnModel, X: np.ndarray, H: np.ndarray, steps: int):
+    """Yield ``(s, JS)`` for s = 0, steps, 2 steps, ...: JS (R, n, P)
+    holds every set's rows d pred_t / d theta for the n <= ``steps`` time
+    steps from s, in neuron-major column order.  The chunks share one
+    buffer, so each is used before the next is asked for.
 
     Exact forward sensitivity propagation: S_t = D_t (B_t + W S_{t-1})
     where S_t = dh_t/dtheta and B_t holds the direct dependence of the
-    pre-activation on U, W, and b_h.  An independent recursion from the
-    reverse-mode gradient, so 2 J^T e == gradient_sse serves as a
-    consistency check.
-
-    The loop carries G_t = B_t + W S_{t-1}, the sensitivity of the
-    pre-activation, so that S_t = D_t G_t never has to be formed:
-    G_t = B_t + (W D_{t-1}) G_{t-1} and the Jacobian row is
+    pre-activation on U, W, and b_h.  The loop carries G_t = B_t + W S_{t-1},
+    the sensitivity of the pre-activation, so that S_t = D_t G_t never
+    has to be formed: G_t = B_t + (W D_{t-1}) G_{t-1} and the row is
     (V D_t) G_t.  G covers only U, W and b_h (h_t does not depend on V or
     b_y), in neuron-major column order: neuron i owns the m = j + h + 1
     adjacent columns [U_i, W_i, b_h,i], so B_t is block diagonal with the
     row r_t = [x_t, h_{t-1}, 1] in every block and is added through one
-    strided view per step.  The columns are put back into the parameter
-    layout once, after the loop.  ``states`` is
-    ``forward_states(model, dataset)`` when the caller has it.
+    strided view per step.  The last h + 1 columns hold h_t and 1, the
+    rows' V and b_y entries.
     """
-    if model.stacked:
-        raise ValueError("prediction_jacobian takes one parameter set, not a stack")
-    H, _ = forward_states(model, dataset) if states is None else states
-    N, h = H.shape
-    j = model.n_input
-    hm = h * (j + h + 1)
-    # Neuron-major sensitivity columns [U_i, W_i, b_h,i] of each neuron i, then V, then b_y.
-    JS = np.empty((N, hm + h + 1))
-    _sensitivity_rows(model, dataset.inputs, H, out=JS[:, :hm])
-    JS[:, hm:hm + h] = H
-    JS[:, -1] = 1.0
-
-    # JS column of each parameter, in the documented layout.
-    blocks = np.arange(hm).reshape(h, -1)  # neuron i's columns [U_i, W_i, b_h,i]
-    column = np.empty(model.n_params, dtype=int)
-    for view, part in zip(_views(column, h, j), (blocks[:, :j], blocks[:, j:-1],
-                                                 hm + np.arange(h), blocks[:, -1], hm + h)):
-        view[...] = part
-    rows = np.arange(N) if index_subset is None else np.asarray(index_subset)
-    return JS[rows[:, None], column]
-
-
-def _sensitivity_rows(model: RnnModel, X: np.ndarray, H: np.ndarray, out: np.ndarray):
-    """Fill row t of ``out`` (N x h*m) with (V D_t) G_t, neuron-major.
-
-    A function of its own so that its (N, h, h) and (N, m) work arrays
-    are freed before the caller allocates J.
-    """
-    N, h = H.shape
+    R, N, h = H.shape
     j = model.n_input
     m = j + h + 1
     hm = h * m
-    D = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (N, h)
-    B = np.empty((N, m))  # r_t = [x_t, h_{t-1}, 1]
-    B[:, :j] = X
-    B[0, j:j + h] = 0.0
-    B[1:, j:j + h] = H[:-1]
-    B[:, -1] = 1.0
-    WD = np.empty((N, h, h))  # W D_{t-1}; zero at t = 0, where G_{-1} = 0 anyway
-    WD[0] = 0.0
-    _, W, V, _, _ = _views(model.theta, h, j)
-    np.multiply(W, D[:-1, None, :], out=WD[1:])
-    VD = V * D
+    deriv = _DERIV_FROM_VALUE[model.hidden_activation]
+    _, W, V, _, _ = _views(np.atleast_2d(model.theta), h, j)
+    X = np.broadcast_to(X, (R, N, j))
+    # Work arrays of one chunk.  Row 0 of B's h_{t-1} part and of WD is
+    # zero for t = 0 (h_{-1} = 0, G_{-1} = 0) and is written for later chunks.
+    JS = np.empty((R, min(steps, N), hm + h + 1))
+    JS[..., -1] = 1.0
+    B = np.zeros((R, min(steps, N), m))  # r_t = [x_t, h_{t-1}, 1]
+    B[..., -1] = 1.0
+    WD = np.zeros((R, min(steps, N), h, h))  # W D_{t-1}, formed a chunk at a time
     # Two buffers take turns as G_{t-1} and G_t; entry [i, i*m + c] of
     # each is block i's diagonal entry c.
-    G_prev, G = np.zeros((h, hm)), np.empty((h, hm))
+    G_prev, G = np.zeros((R, h, hm)), np.empty((R, h, hm))
     blocks_prev, blocks = (np.lib.stride_tricks.as_strided(
-        buf, shape=(h, m), strides=((hm + m) * buf.itemsize, buf.itemsize))
-        for buf in (G_prev, G))
-    for t in range(N):
-        np.dot(WD[t], G_prev, out=G)
-        blocks += B[t]
-        np.dot(VD[t], G, out=out[t])
-        G_prev, G = G, G_prev
-        blocks_prev, blocks = blocks, blocks_prev
+        buf, shape=(R, h, m), strides=(h * hm * buf.itemsize, (hm + m) * buf.itemsize,
+                                        buf.itemsize)) for buf in (G_prev, G))
+    product, wd = np.matmul, WD.swapaxes(0, 1)
+    if R == 1:  # np.dot on 2-D operands costs less per call than a batched matmul
+        product, wd, G_prev, G, blocks_prev, blocks = (
+            np.dot, WD[0], G_prev[0], G[0], blocks_prev[0], blocks[0])
+
+    def by_step(a):  # one index per step: a 2-D operand, or a unit axis for each set
+        return a[0] if R == 1 else a[:, :, None].swapaxes(0, 1)
+
+    out, r = by_step(JS[..., :hm]), by_step(B)
+    for s in range(0, N, steps):
+        n = min(steps, N - s)
+        k = 0 if s else 1  # the chunk's first row with a previous step
+        D = deriv(H[:, s - 1 + k:s + n])  # D_{t-1} from t = s + k, then D_{s+n-1}
+        np.multiply(W[:, None], D[:, :n - k, None, :], out=WD[:, k:n])
+        vd = by_step(V[:, None, :] * D[:, 1 - k:])
+        B[:, :n, :j] = X[:, s:s + n]
+        B[:, k:n, j:j + h] = H[:, s - 1 + k:s + n - 1]
+        for u in range(n):
+            product(wd[u], G_prev, out=G)
+            blocks += r[u]
+            product(vd[u], G, out=out[u])
+            G_prev, G = G, G_prev
+            blocks_prev, blocks = blocks, blocks_prev
+        JS[:, :n, hm:hm + h] = H[:, s:s + n]
+        yield s, JS[:, :n]
 
 
 def rescale_output(model: RnnModel, scale: float, offset: float) -> RnnModel:

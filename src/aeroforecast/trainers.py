@@ -9,13 +9,15 @@ gamma come from one eigendecomposition of the N x N Gram matrix JJ'.
 
 Each core is a generator that yields requests ``(kind, theta)`` and is
 sent the answers; ``kind`` names the :class:`RnnObjective` method that
-answers it (residuals, jacobian, train_mse, gradient or val_mse).  The
-callable API (:func:`lm_least_squares`, :func:`br_least_squares`,
-:func:`scg_minimize`) answers them with the functions it is given;
+answers it (residuals, jacobian, products, train_mse, gradient or
+val_mse).  The callable API (:func:`lm_least_squares`,
+:func:`br_least_squares`, :func:`scg_minimize`) answers them with the
+functions it is given, and its LM and BR cores ask for J alone.
 :func:`train_repeats` trains one :class:`~aeroforecast.rnn.RnnModel` per
 repeat, errors summed over the repeat's train-index subset, and answers
 all repeats' requests with stacked kernel calls, through one caching
-:class:`RnnObjective` each.
+:class:`RnnObjective` each.  Its LM and BR cores ask for J'J and J'e in
+place of J when N >= P, which the kernel sums without forming J.
 
 A run stops with ``stop_reason`` "converged" (gradient norm below
 ``grad_tol``, or a zero SCG search direction), "damping_overflow" (no
@@ -39,12 +41,14 @@ import numpy as np
 # ``forward`` is unused here but stays importable as ``trainers.forward``,
 # where perfbench's traced mode wraps the forward pass.
 from .rnn import (RnnModel, SequenceDataset, forward, forward_states,  # noqa: F401
-                  gradient_sse, loss_mse, prediction_jacobian, state_error)
+                  gradient_sse, jacobian_products, loss_mse, prediction_jacobian,
+                  state_error)
 
 ALGORITHMS = ("lm", "br", "scg")
 # Bytes of Gauss-Newton matrices that the LM or BR repeats advancing
-# together may hold between requests: P x min(N, P) each (J'J, or J'Q
-# when N < P).
+# together may hold at once: P x min(N, P) each, that is J'J when N >= P,
+# and when N < P the Jacobian that one stacked call forms for every
+# repeat, then each repeat's J'Q.
 GAUSS_NEWTON_BYTES = 4 << 20
 
 
@@ -163,7 +167,7 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
                   train_mse=objective_fn, gradient=gradient_fn, val_mse=val_fn)
 
 
-def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
+def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None, products=False):
     """Minimize F = beta*SSE + alpha*|theta|^2 with damped Gauss-Newton
     steps: solve (beta J'J + (alpha + mu) I) d = -(beta J'e + alpha theta).
 
@@ -173,12 +177,14 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
     after the first, once it is logged and before its step; the budget's
     last epoch is logged only.
 
-    With N >= P residuals every trial solves the P x P system, and
-    between requests the core holds J'J.  With N < P each epoch
-    decomposes the N x N Gram matrix JJ' once and takes every trial from
-    that (:func:`_dual_steps`), so between requests the core holds the
-    P x N matrix J'Q; a LinAlgError of the decomposition does not depend
-    on mu and is raised."""
+    With N >= P residuals every trial solves the P x P system from J'J;
+    a core made with ``products`` then asks for the pair (J'J, J'e), the
+    ``products`` request, rather than for J.  With N < P each epoch
+    decomposes the N x N Gram matrix JJ' of J once and takes every trial
+    from that (:func:`_dual_steps`); a LinAlgError of the decomposition
+    does not depend on mu and is raised.  Between requests the core holds
+    J'J, or the P x N matrix J'Q, and it lets go of them before it asks
+    for the next epoch's J."""
     theta = np.array(theta0, dtype=float)
     alpha, beta = 0.0, 1.0
     mu = cfg.mu0
@@ -196,14 +202,15 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
             break
         if rec.total_epochs >= cfg.max_epochs:
             break  # a step now would never be logged or returned
-        J = yield "jacobian", theta
-        Jr = J.T @ r
         dual = len(r) < theta.size
-        if dual:  # gram: the eigenvalues of JJ'
-            gram, JQ, Qr = _gram_spectrum(J, r)
+        if products and not dual:
+            gram, Jr = yield "products", theta
         else:
-            gram = J.T @ J
-        del J
+            J = yield "jacobian", theta
+            Jr = J.T @ r
+            spectrum = _gram_spectrum(J, r) if dual else None
+            gram = spectrum[0] if dual else J.T @ J  # the eigenvalues of JJ', or J'J
+            del J
         if bayesian and rec.total_epochs > 1:  # every epoch after the first follows a step
             n = n_samples if n_samples is not None else len(r)
             alpha, beta = _evidence_update(gram, theta, sse, n, alpha, beta, mu, rec)
@@ -211,7 +218,7 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
         if np.linalg.norm(2.0 * g) < cfg.grad_tol:
             rec.stop_reason = "converged"
             break
-        step = (_dual_steps(gram, JQ, Qr, theta, alpha, beta) if dual
+        step = (_dual_steps(*spectrum, theta, alpha, beta) if dual
                 else _primal_steps(gram, g, alpha, beta))
         f_cur = beta * sse + alpha * float(theta @ theta)
         while mu <= cfg.mu_max:
@@ -233,6 +240,7 @@ def _damped_gauss_newton(theta0, cfg, bayesian, has_val, n_samples=None):
             rec.stop_reason = "damping_overflow"  # no improving step
             rec.notes.append(f"mu exceeded mu_max={cfg.mu_max}")
             break
+        gram = spectrum = step = None  # held no longer: the next epoch forms its own
     return rec.best_theta.copy(), rec
 
 
@@ -311,7 +319,9 @@ def _scaled_conjugate_gradient(theta0, cfg, has_val):
     directional finite difference with step sigma/|p|; the scale lambda
     repairs non-positive curvature and is tuned by the comparison ratio
     of actual to predicted decrease.  The direction set restarts to
-    steepest descent every n_params iterations.
+    steepest descent every n_params iterations.  A step accepted in the
+    budget's second-to-last epoch asks for no gradient at its point, as
+    no step follows it, so the last epoch cannot stop as "converged".
     """
     theta = np.array(theta0, dtype=float)
     n_params = theta.size
@@ -359,16 +369,17 @@ def _scaled_conjugate_gradient(theta0, cfg, has_val):
             theta = theta + alpha_k * p
             rec.step_deltas.append(f_trial - f_cur)
             f_cur = f_trial
-            r_new = -(yield "gradient", theta)
             lam_bar = 0.0
             success = True
-            k += 1
-            if k % n_params == 0:
-                p = r_new.copy()  # restart with steepest descent
-            else:
-                beta_k = (float(r_new @ r_new) - float(r_new @ r)) / mu_k
-                p = r_new + beta_k * p
-            r = r_new
+            if rec.total_epochs + 1 < cfg.max_epochs:  # else the next epoch is logged only
+                r_new = -(yield "gradient", theta)
+                k += 1
+                if k % n_params == 0:
+                    p = r_new.copy()  # restart with steepest descent
+                else:
+                    beta_k = (float(r_new @ r_new) - float(r_new @ r)) / mu_k
+                    p = r_new + beta_k * p
+                r = r_new
             if comparison >= 0.75:
                 lam *= 0.25
         else:
@@ -390,9 +401,8 @@ class RnnObjective:
 
     Caches the forward states ``(H, preds)`` (or the FloatingPointError
     they raised) at the last parameter vector evaluated, keyed by its
-    bytes, and the gradient there once formed; every answer at that
-    point reuses them.  :func:`train_repeats` fills the caches of many
-    objectives with stacked kernel calls.
+    bytes; every answer at that point reuses them.  :func:`train_repeats`
+    fills the caches of many objectives with one stacked forward pass.
     """
 
     def __init__(self, model: RnnModel, data: SequenceDataset, train_idx, val_idx):
@@ -407,9 +417,9 @@ class RnnObjective:
     def knows(self, theta) -> bool:
         return theta.tobytes() == self._key
 
-    def remember(self, theta, states, gradient=None):
+    def remember(self, theta, states):
         self._key = None if theta is None else theta.tobytes()
-        self._states, self._gradient = states, gradient
+        self._states = states
 
     def states(self, theta):
         if not self.knows(theta):
@@ -445,13 +455,15 @@ class RnnObjective:
         return prediction_jacobian(self.model.with_params(theta), self.data,
                                    self.train_idx, states=self.states(theta))
 
+    def products(self, theta):
+        """J'J and J'e of the residuals, without forming J."""
+        return jacobian_products(self.model.with_params(theta), self.data,
+                                 self.train_idx, states=self.states(theta))
+
     def gradient(self, theta):
         """Gradient of ``train_mse``."""
-        states = self.states(theta)
-        if self._gradient is None:
-            self._gradient = gradient_sse(self.model.with_params(theta), self.data,
-                                          self.train_idx, states=states) / len(self.train_idx)
-        return self._gradient
+        return gradient_sse(self.model.with_params(theta), self.data, self.train_idx,
+                            states=self.states(theta)) / len(self.train_idx)
 
 
 def train_repeats(models, datasets, train_idxs, val_idxs, cfg: TrainConfig) -> list:
@@ -459,13 +471,15 @@ def train_repeats(models, datasets, train_idxs, val_idxs, cfg: TrainConfig) -> l
     rows), all repeats advancing in lockstep with their own cores.
 
     Every round takes one request from each live repeat; one stacked
-    forward pass and one stacked gradient serve all that need them, and
-    Jacobians (n x P each) are formed one at a time.  SCG repeats all
+    forward pass and one stacked gradient serve all that need them.  A
+    repeat that asks for its Jacobian (or, at N >= P, for J'J and J'e)
+    waits until every live repeat of its group asks for one, and then one
+    stacked call answers them all: one per epoch.  SCG repeats all
     advance together, LM and BR repeats in groups whose Gauss-Newton
-    matrices (J'J, or J'Q when N < P) fit ``GAUSS_NEWTON_BYTES``.
-    Returns per repeat the bytes it gets alone, (trained model,
-    TrainRecord), or the exception it raised while the others carried on;
-    ``seconds`` is the wall time over the repeats.
+    matrices fit ``GAUSS_NEWTON_BYTES``.  Returns per repeat the bytes it
+    gets alone, (trained model, TrainRecord), or the exception it raised
+    while the others carried on; ``seconds`` is the wall time over the
+    repeats.
     """
     started = time.perf_counter()
     objectives = [RnnObjective(*args) for args in zip(models, datasets, train_idxs, val_idxs)]
@@ -482,20 +496,25 @@ def train_repeats(models, datasets, train_idxs, val_idxs, cfg: TrainConfig) -> l
 
 
 def _lockstep(objectives, cfg):
-    """(trained model, record), or the raised exception, per objective;
-    answers are sent one repeat at a time, so no two Jacobians coexist."""
+    """(trained model, record), or the raised exception, per objective.
+
+    Requests for J or for (J'J, J'e) wait at a barrier until they are all
+    that is left; every other request is answered in the round it is made."""
     cores = [_scaled_conjugate_gradient(obj.model.params_to_vector(), cfg, len(obj.val_idx) > 0)
              if cfg.algorithm == "scg" else
              _damped_gauss_newton(obj.model.params_to_vector(), cfg, cfg.algorithm == "br",
-                                  len(obj.val_idx) > 0)
+                                  len(obj.val_idx) > 0, products=True)
              for obj in objectives]
     outcomes = [None] * len(cores)
     requests = {i: next(core) for i, core in enumerate(cores)}
     while requests:
-        _prefetch(objectives, requests)
-        for i, (kind, theta) in list(requests.items()):
-            try:
-                requests[i] = cores[i].send(getattr(objectives[i], kind)(theta))
+        ready = {i: request for i, request in requests.items()
+                 if request[0] not in ("jacobian", "products")} or dict(requests)
+        answers = _prefetch(objectives, ready)
+        for i, (kind, theta) in ready.items():
+            try:  # an answer handed over is dropped here, so the core alone holds it
+                requests[i] = cores[i].send(answers.pop(i) if i in answers
+                                            else getattr(objectives[i], kind)(theta))
             except StopIteration as done:
                 theta, rec = done.value
                 outcomes[i] = (objectives[i].model.with_params(theta), rec)
@@ -507,25 +526,36 @@ def _lockstep(objectives, cfg):
 
 
 def _prefetch(objectives, requests):
-    """Fill the caches this round's requests read: the forward states of
-    every repeat whose point is new (a non-finite point is left to the
-    objective, which reports it) and the gradients asked for, each kind
-    in one stacked call."""
+    """Fill the forward-state caches this round's requests read, in one
+    stacked call for every repeat whose point is new (a non-finite point
+    is left to the objective, which reports it), and answer the
+    gradient, Jacobian and products requests with one stacked call per
+    kind.  Returns those answers by repeat; a request whose point failed
+    the forward pass is left to the objective."""
     todo = {i: theta for i, (_, theta) in requests.items()
             if not objectives[i].knows(theta) and np.isfinite(theta).all()}
     if todo:
         H, preds = forward_states(*_together(objectives, todo), check=False)
         for (i, theta), H_r, preds_r in zip(todo.items(), H, preds):
             objectives[i].remember(theta, state_error(H_r, preds_r) or (H_r.copy(), preds_r))
-    todo = {i: theta for i, (kind, theta) in requests.items() if kind == "gradient"
-            and objectives[i].knows(theta) and isinstance(objectives[i]._states, tuple)}
-    if todo:
+    answers = {}
+    for kind in ("gradient", "jacobian", "products"):
+        todo = {i: theta for i, (k, theta) in requests.items() if k == kind
+                and objectives[i].knows(theta) and isinstance(objectives[i]._states, tuple)}
+        if not todo:
+            continue
         model, data = _together(objectives, todo)
         states = tuple(np.stack(parts) for parts in zip(*(objectives[i]._states for i in todo)))
         rows = np.stack([objectives[i].train_idx for i in todo])
-        for (i, theta), grad in zip(todo.items(), gradient_sse(model, data, rows, states)):
-            obj = objectives[i]
-            obj.remember(theta, obj._states, grad / len(obj.train_idx))
+        if kind == "gradient":
+            out = (grad / len(objectives[i].train_idx)
+                   for i, grad in zip(todo, gradient_sse(model, data, rows, states)))
+        elif kind == "jacobian":
+            out = prediction_jacobian(model, data, rows, states)
+        else:
+            out = zip(*jacobian_products(model, data, rows, states))
+        answers.update(zip(todo, out))
+    return answers
 
 
 def _together(objectives, thetas: dict):

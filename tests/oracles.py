@@ -10,6 +10,7 @@ missing-value convention.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 
@@ -20,6 +21,7 @@ from aeroforecast.fundamentals import RATIO_NAMES
 from aeroforecast.indicators import TECHNICAL_COLUMNS, IndicatorConfig, _wilder
 from aeroforecast.market_data import PRICE_COLUMNS
 from aeroforecast.pca import PcaModel, explained_variance_rows
+from aeroforecast.rnn import _PRODUCT_STEPS
 from aeroforecast.trainers import TrainConfig, _EpochLog
 
 NAN = float("nan")
@@ -555,8 +557,29 @@ def jacobi_eigh(matrix, sweeps=100):
 # last epoch of the budget is logged only: its step would not be returned.
 # With fewer residuals than weights (N < P) each trial step and gamma come
 # from an eigendecomposition of JJ' that ``_gram_step`` and
-# ``_gram_gamma`` recompute from J on every call.
+# ``_gram_gamma`` recompute from J on every call.  With N >= P, J'J and
+# J'r come from ``products(J, r)``: J.T @ J and J.T @ r by default, or
+# ``chunked_products`` for a repeat trained as ``train_repeats`` trains it.
 # ---------------------------------------------------------------------------
+
+
+def plain_products(J, r):
+    return J.T @ J, J.T @ r
+
+
+def chunked_products(J, r, rows, steps=_PRODUCT_STEPS):
+    """J'J and J'r added up chunk by chunk in time order, each chunk
+    holding the rows (in J's order) whose time step ``rows`` falls in one
+    run of ``steps`` steps: the sums ``rnn.jacobian_products`` forms."""
+    JJ = Jr = None
+    for chunk in np.unique(rows // steps):
+        Jc, rc = J[rows // steps == chunk], r[rows // steps == chunk]
+        if JJ is None:
+            JJ, Jr = Jc.T @ Jc, Jc.T @ rc
+        else:
+            JJ += Jc.T @ Jc
+            Jr += Jc.T @ rc
+    return JJ, Jr
 
 
 def _gram_step(J, r, theta, alpha, beta, mu):
@@ -580,7 +603,7 @@ def _gram_gamma(J, alpha, beta):
 
 
 def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
-                     val_fn=None) -> tuple[np.ndarray, TrainRecord]:
+                     val_fn=None, products=plain_products) -> tuple[np.ndarray, TrainRecord]:
     """Levenberg-Marquardt on 0.5-free SSE: solve (J'J + mu I) d = -J'e.
 
     A step is accepted only if it strictly decreases the SSE (mu shrinks);
@@ -602,11 +625,11 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
         if rec.total_epochs >= cfg.max_epochs:
             break  # the last epoch takes no step
         J = jacobian_fn(theta)
-        g = 2.0 * (J.T @ r)
+        A, Jr = plain_products(J, r) if len(r) < theta.size else products(J, r)
+        g = 2.0 * Jr
         if np.linalg.norm(g) < cfg.grad_tol:
             rec.stop_reason = "converged"
             break
-        A = J.T @ J
         eye = np.eye(A.shape[0])
         accepted = False
         while mu <= cfg.mu_max:
@@ -614,7 +637,7 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                 if len(r) < theta.size:
                     delta = _gram_step(J, r, theta, 0.0, 1.0, mu)
                 else:
-                    delta = np.linalg.solve(A + mu * eye, -(J.T @ r))
+                    delta = np.linalg.solve(A + mu * eye, -Jr)
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
@@ -637,7 +660,8 @@ def lm_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
 
 
 def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
-                     val_fn=None, n_samples=None) -> tuple[np.ndarray, TrainRecord]:
+                     val_fn=None, n_samples=None,
+                     products=plain_products) -> tuple[np.ndarray, TrainRecord]:
     """Bayesian-regularized LM: minimize F = beta*SSE + alpha*|theta|^2.
 
     Starts from (alpha, beta) = (0, 1); after every accepted step the
@@ -667,13 +691,13 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
             break  # the last epoch takes no step
         J = jacobian_fn(theta)
         n = n_samples if n_samples is not None else len(r)
-        A = J.T @ J
+        A, Jr = plain_products(J, r) if len(r) < n_params else products(J, r)
         eye = np.eye(n_params)
         if reestimate:
             alpha, beta, gamma = _evidence_update(
                 J, A, eye, theta, sse, n, n_params, alpha, beta, mu, rec)
             reestimate = False
-        grad = 2.0 * (beta * (J.T @ r) + alpha * theta)
+        grad = 2.0 * (beta * Jr + alpha * theta)
         if np.linalg.norm(grad) < cfg.grad_tol:
             rec.stop_reason = "converged"
             break
@@ -685,7 +709,7 @@ def br_least_squares(residual_fn, jacobian_fn, theta0, cfg: TrainConfig,
                     delta = _gram_step(J, r, theta, alpha, beta, mu)
                 else:
                     delta = np.linalg.solve(beta * A + (alpha + mu) * eye,
-                                            -(beta * (J.T @ r) + alpha * theta))
+                                            -(beta * Jr + alpha * theta))
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_inc
                 continue
@@ -842,7 +866,8 @@ def prediction_jacobian(model, dataset, index_subset=None, states=None):
 def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
                  val_fn=None) -> tuple[np.ndarray, TrainRecord]:
     """Moller's scaled conjugate gradient as one loop over callables; the
-    last epoch of the budget takes no step."""
+    last epoch of the budget takes no step, so a step accepted in the
+    epoch before it is not followed by a gradient."""
     theta = np.array(theta0, dtype=float)
     n_params = theta.size
     lam = cfg.scg_lambda0
@@ -892,16 +917,17 @@ def scg_minimize(objective_fn, gradient_fn, theta0, cfg: TrainConfig,
             theta = theta + alpha_k * p
             rec.step_deltas.append(f_trial - f_cur)
             f_cur = f_trial
-            r_new = -gradient_fn(theta)
             lam_bar = 0.0
             success = True
-            k += 1
-            if k % n_params == 0:
-                p = r_new.copy()
-            else:
-                beta_k = (float(r_new @ r_new) - float(r_new @ r)) / mu_k
-                p = r_new + beta_k * p
-            r = r_new
+            if rec.total_epochs + 1 < cfg.max_epochs:
+                r_new = -gradient_fn(theta)
+                k += 1
+                if k % n_params == 0:
+                    p = r_new.copy()
+                else:
+                    beta_k = (float(r_new @ r_new) - float(r_new @ r)) / mu_k
+                    p = r_new + beta_k * p
+                r = r_new
             if comparison >= 0.75:
                 lam *= 0.25
         else:
@@ -956,15 +982,17 @@ def train_alone(model, data, train_idx, val_idx, cfg: TrainConfig):
     exception the training raised."""
     obj = LoopObjective(model, data, train_idx, val_idx)
     theta0 = model.params_to_vector()
+    products = functools.partial(chunked_products, rows=obj.train_idx)
     try:
         if cfg.algorithm == "scg":
             theta, rec = scg_minimize(obj.train_mse, obj.gradient, theta0, cfg, obj.val_fn)
         elif cfg.algorithm == "lm":
             theta, rec = lm_least_squares(obj.residuals, obj.jacobian, theta0, cfg,
-                                          obj.val_fn)
+                                          obj.val_fn, products)
         else:
             theta, rec = br_least_squares(obj.residuals, obj.jacobian, theta0, cfg,
-                                          obj.val_fn, n_samples=len(obj.train_idx))
+                                          obj.val_fn, n_samples=len(obj.train_idx),
+                                          products=products)
     except Exception as exc:  # noqa: BLE001 - compared with the engine's outcome
         return exc
     return model.with_params(theta), rec

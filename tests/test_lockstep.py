@@ -18,8 +18,8 @@ import aeroforecast.experiments as exp
 import aeroforecast.trainers as trainers
 import oracles
 from aeroforecast.experiments import ExperimentSpec
-from aeroforecast.rnn import (SequenceDataset, forward_states, gradient_sse, init_rnn,
-                              prediction_jacobian)
+from aeroforecast.rnn import (_PRODUCT_STEPS, SequenceDataset, forward_states, gradient_sse,
+                              init_rnn, jacobian_products, prediction_jacobian)
 from aeroforecast.trainers import GAUSS_NEWTON_BYTES, TrainConfig, TrainRecord, train_repeats
 from helpers import make_bundle
 
@@ -80,16 +80,43 @@ class TestStackedKernels:
         H, preds = forward_states(stacked, data)
         grads = gradient_sse(stacked, data, rows)
         full = gradient_sse(stacked, data)
-        with pytest.raises(ValueError, match="one parameter set"):
-            prediction_jacobian(stacked, data, rows)
+        jacobians = prediction_jacobian(stacked, data, rows)
+        assert len(jacobians) == R
         for r, (model, d) in enumerate(zip(models, datas)):
             want_H, want_preds = oracles.forward_states(model, d)
             assert H[r].tobytes() == want_H.tobytes()
             assert preds[r].tobytes() == want_preds.tobytes()
             assert grads[r].tobytes() == oracles.gradient_sse(model, d, trains[r]).tobytes()
             assert full[r].tobytes() == oracles.gradient_sse(model, d).tobytes()
-            assert (prediction_jacobian(model, d, trains[r]).tobytes()
-                    == oracles.prediction_jacobian(model, d, trains[r]).tobytes())
+            want_J = oracles.prediction_jacobian(model, d, trains[r])
+            assert jacobians[r].tobytes() == want_J.tobytes()
+            assert prediction_jacobian(model, d, trains[r]).tobytes() == want_J.tobytes()
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("T", [_PRODUCT_STEPS, 2 * _PRODUCT_STEPS + 57])
+    def test_products_are_the_jacobian_products(self, R, T):
+        """Within one chunk J'J and J'e are J.T @ J and J.T @ e bit for bit;
+        past it they are the chunked sums, within 1e-12 of the plain ones."""
+        models, datas, trains, _ = stacked_problem(60 + R, R, 3, 5, T, per_set=True)
+        stacked = models[0].with_params(np.stack([m.params_to_vector() for m in models]))
+        data = SequenceDataset(np.stack([d.inputs for d in datas]),
+                               np.stack([d.targets for d in datas]))
+        JJ, Je = jacobian_products(stacked, data, np.stack(trains))
+        for r, (model, d, rows) in enumerate(zip(models, datas, trains)):
+            J = oracles.prediction_jacobian(model, d, rows)
+            e = oracles.forward_states(model, d)[1][rows] - d.targets[rows]
+            alone = jacobian_products(model, d, rows)
+            assert alone[0].tobytes() == JJ[r].tobytes() and alone[1].tobytes() == Je[r].tobytes()
+            chunked = oracles.chunked_products(J, e, rows)
+            assert JJ[r].tobytes() == chunked[0].tobytes()
+            assert Je[r].tobytes() == chunked[1].tobytes()
+            plain = oracles.plain_products(J, e)
+            if T <= _PRODUCT_STEPS:
+                assert JJ[r].tobytes() == plain[0].tobytes()
+                assert Je[r].tobytes() == plain[1].tobytes()
+            else:
+                for got, want in zip((JJ[r], Je[r]), plain):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_one_set_is_the_stack_of_one(self):
         models, datas, trains, _ = stacked_problem(3, 1, 2, 4, 30)
@@ -167,6 +194,33 @@ class TestTrainRepeats:
         cfg = TrainConfig(algorithm=algorithm, max_epochs=6, val_patience=2)
         got = train_repeats(models, datas, trains, vals, cfg)
         assert groups == [3]
+        want = [oracles.train_alone(*args, cfg) for args in zip(models, datas, trains, vals)]
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+
+    @pytest.mark.parametrize("algorithm", ["lm", "br"])
+    def test_one_products_call_per_epoch_and_no_jacobian(self, monkeypatch, algorithm):
+        """Ten repeats with more training rows than weights, over more than
+        one chunk of steps: each epoch's requests wait for one another, one
+        stacked call forms every repeat's J'J and J'e, and no n x P
+        Jacobian is formed."""
+        models, datas, trains, vals = stacked_problem(51, 10, 2, 3, 2 * _PRODUCT_STEPS + 40)
+        assert len(trains[0]) >= models[0].n_params
+        calls = []
+
+        def spy(model, *args):
+            calls.append(len(model.theta))
+            return jacobian_products(model, *args)
+
+        def no_jacobian(*args):
+            raise AssertionError("an n x P Jacobian was formed")
+
+        monkeypatch.setattr(trainers, "jacobian_products", spy)
+        monkeypatch.setattr(trainers, "prediction_jacobian", no_jacobian)
+        cfg = TrainConfig(algorithm=algorithm, max_epochs=6, val_patience=100)
+        got = train_repeats(models, datas, trains, vals, cfg)
+        assert all(rec.stop_reason == "max_epochs" and rec.total_epochs == 6 for _, rec in got)
+        assert calls == [10] * 5  # the last epoch takes no step
         want = [oracles.train_alone(*args, cfg) for args in zip(models, datas, trains, vals)]
         for g, w in zip(got, want):
             assert_same_outcome(g, w)

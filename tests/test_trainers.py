@@ -306,6 +306,14 @@ class TestLastEpochTakesNoStep:
         assert requests.count("val_mse") == max_epochs
         assert requests[-1] == "val_mse"
 
+    def test_scg_asks_no_gradient_after_its_second_to_last_step(self):
+        """The gradient at a point accepted in the second-to-last epoch
+        would only serve a step of the last epoch, which takes none."""
+        rec, requests = self.run("scg", TrainConfig(max_epochs=3, val_patience=100), 41)
+        assert rec.stop_reason == "max_epochs" and len(rec.step_deltas) == 2
+        # at the start, at each step's curvature probe, and at the first step's point
+        assert requests.count("gradient") == 4
+
     @pytest.mark.parametrize("algo", ["lm", "br"])
     def test_epoch_that_trips_val_patience_forms_no_jacobian(self, algo):
         cfg = TrainConfig(max_epochs=40, val_patience=1, br_val_stop=True)
