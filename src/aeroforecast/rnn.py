@@ -25,7 +25,11 @@ are shared ((N, j), (N,)) or per set ((R, N, j), (R, N)), a row subset
 shared (n,) or per set (R, n).  Every product is the same BLAS call on
 the same operands as for one set and every sum keeps its order, so each
 set gets the bytes it would get alone, for a fraction of the per-step
-cost.
+cost.  The stacked forward and backward loops work on contiguous
+time-major (N, R, h) copies of their buffers, so that each step's
+product, add and activation run on adjacent rows rather than on views
+whose rows lie N*h apart; one set keeps its loops of 2-D ``np.dot``
+calls, the cheapest per step.
 
 ``forward_states`` returns the hidden states with the predictions, and
 the derivative routines accept that pair as ``states`` instead of
@@ -228,16 +232,20 @@ def forward_states(model: RnnModel, dataset: SequenceDataset, check: bool = True
     R, N, h = U.shape[0], len(dataset), model.n_hidden
     pre = np.matmul(dataset.inputs, U.transpose(0, 2, 1))  # (R, N, h)
     pre += b_h[:, None, :]
-    H = np.empty((R, N, h))
+    # Step t turns row t of A from its pre-activation into h_t in place.
     if R == 1:  # np.dot on 2-D operands costs less per call than a batched matmul
-        product, W, steps, pre, h_prev = np.dot, W[0], H[0], pre[0], np.zeros(h)
-    else:  # time-major views: one index per step
-        product, steps, pre = np.matmul, H[..., None].swapaxes(0, 1), pre[..., None].swapaxes(0, 1)
-        h_prev = np.zeros((R, h, 1))
-    for t in range(N):
-        a = product(W, h_prev, out=steps[t])
-        a += pre[t]
+        product, W, A, h_prev = np.dot, W[0], pre[0], np.zeros(h)
+    else:  # a contiguous time-major copy: each step's rows are adjacent, not N*h apart
+        product, h_prev = np.matmul, np.zeros((R, h, 1))
+        A, pre = np.ascontiguousarray(pre.transpose(1, 0, 2))[..., None], None
+    scratch = np.empty_like(h_prev)
+    for a in A:
+        product(W, h_prev, out=scratch)
+        np.add(scratch, a, out=a)
         h_prev = f_h(a, out=a)
+    # The output product sees a C-contiguous (R, N, h) H, whose layout its rounding may depend on.
+    H = pre if R == 1 else np.ascontiguousarray(A[..., 0].transpose(1, 0, 2))
+    del A
     preds = np.matmul(H, V[:, :, None])[..., 0] + b_y[:, None]
     if check:
         for error in map(state_error, H, preds):
@@ -272,7 +280,9 @@ def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None,
     carries only da_t = (dy_t V + W' da_{t+1}) * f_h'(a_t) and stores it;
     the weight gradients dU = sum_t da_t x_t', dW = sum_{t>0} da_t h_{t-1}'
     and db_h = sum_t da_t are then formed for all t at once, each sum
-    added in the order the recursion produced its terms.  ``states`` is
+    added in the order the recursion produced its terms.  Both loop
+    arrays are time-major (N, R, h) and contiguous, one row per step
+    (2-D rows and ``np.dot`` for one set).  ``states`` is
     ``forward_states(model, dataset)`` when the caller has it.
     Returns a vector in the documented parameter layout, (R, P) when
     stacked.
@@ -289,20 +299,20 @@ def gradient_sse(model: RnnModel, dataset: SequenceDataset, index_subset=None,
     dy = np.zeros((R, N))
     dy[sets, idx] = 2.0 * (preds[sets, idx] - targets[sets, idx])
 
-    # DA holds f_h'(a_t) until step t overwrites it with da_t.
-    DA = _DERIV_FROM_VALUE[model.hidden_activation](H)  # (R, N, h)
-    direct = dy[:, :, None] * V[:, None, :]  # dy_t V, the output's pull on h_t
+    # DA, time-major (N, R, h), holds f_h'(a_t) until step t overwrites it with da_t.
+    DA = _DERIV_FROM_VALUE[model.hidden_activation](np.ascontiguousarray(H.transpose(1, 0, 2)))
+    direct = np.multiply(dy.T[:, :, None], V, out=np.empty_like(DA))  # dy_t V, the pull on h_t
     if R == 1:
-        product, WT, steps, direct_t, da = np.dot, W[0].T, DA[0], direct[0], np.zeros(h)
-    else:
+        product, WT, steps, pulls, da = np.dot, W[0].T, DA[:, 0], direct[:, 0], np.zeros(h)
+    else:  # W' itself, not a contiguous copy: a copy would switch the product's BLAS kernel
         product, WT, da = np.matmul, W.transpose(0, 2, 1), np.zeros((R, h, 1))
-        steps, direct_t = DA[..., None].swapaxes(0, 1), direct[..., None].swapaxes(0, 1)
+        steps, pulls = DA[..., None], direct[..., None]
     pulled = np.empty_like(da)
-    for t in range(N - 1, -1, -1):
+    for pull, step in zip(pulls[::-1], steps[::-1]):
         product(WT, da, out=pulled)
-        pulled += direct_t[t]
-        da = np.multiply(pulled, steps[t], out=steps[t])
-    back = DA.transpose(1, 0, 2)[::-1]  # t = N-1, ..., 0: the order the recursion produced them
+        pulled += pull
+        da = np.multiply(pulled, step, out=step)
+    back = DA[::-1]  # t = N-1, ..., 0: the order the recursion produced them
     X1 = np.empty(X.shape[:-1] + (j + 1,))  # [x_t, 1]: dU and db_h from one sum
     X1[..., :j] = X
     X1[..., j] = 1.0
@@ -358,7 +368,7 @@ def prediction_jacobian(model: RnnModel, dataset: SequenceDataset,
     for s, JS in _sensitivity_rows(model, dataset.inputs, H, steps):
         for J_r, rows_r, JS_r in zip(J, rows, JS):
             at = np.flatnonzero((rows_r >= s) & (rows_r < s + len(JS_r)))
-            J_r[at] = JS_r[rows_r[at, None] - s, column]
+            J_r[at] = JS_r[rows_r[at] - s].take(column, axis=1)
     return J if model.stacked else J[0]
 
 
@@ -387,7 +397,7 @@ def jacobian_products(model: RnnModel, dataset: SequenceDataset,
             at = np.flatnonzero((rows_r >= s) & (rows_r < s + len(JS_r)))
             if len(at) == 0:
                 continue
-            Jc = JS_r[rows_r[at, None] - s, column]
+            Jc = JS_r[rows_r[at] - s].take(column, axis=1)  # C-ordered, as the sums need
             if s == first[r]:
                 JJ[r], Je[r] = Jc.T @ Jc, Jc.T @ e[r, at]
             else:

@@ -66,16 +66,22 @@ def stacked_problem(seed, R, n_input, n_hidden, T, activation="tanh", per_set=Fa
     return models, datas, trains, vals
 
 
+def stack(models, datas, per_set):
+    """The stacked model of ``models``, and their dataset: shared, or stacked per set."""
+    stacked = models[0].with_params(np.stack([m.params_to_vector() for m in models]))
+    data = datas[0] if not per_set else SequenceDataset(
+        np.stack([d.inputs for d in datas]), np.stack([d.targets for d in datas]))
+    return stacked, data
+
+
 class TestStackedKernels:
-    @pytest.mark.parametrize("R", [1, 2, 10])
+    @pytest.mark.parametrize("R", [1, 2, 3, 10])
     @pytest.mark.parametrize("activation", ["tanh", "identity"])
     @pytest.mark.parametrize("per_set", [False, True])
     def test_each_set_matches_the_single_set_loops(self, R, activation, per_set):
         # 150 steps: the gradient's in-order sums span three 64-step chunks
         models, datas, trains, _ = stacked_problem(7 + R, R, 3, 5, 150, activation, per_set)
-        stacked = models[0].with_params(np.stack([m.params_to_vector() for m in models]))
-        data = datas[0] if not per_set else SequenceDataset(
-            np.stack([d.inputs for d in datas]), np.stack([d.targets for d in datas]))
+        stacked, data = stack(models, datas, per_set)
         rows = np.stack(trains)
         H, preds = forward_states(stacked, data)
         grads = gradient_sse(stacked, data, rows)
@@ -92,15 +98,56 @@ class TestStackedKernels:
             assert jacobians[r].tobytes() == want_J.tobytes()
             assert prediction_jacobian(model, d, trains[r]).tobytes() == want_J.tobytes()
 
+    @pytest.mark.parametrize("R", [2, 3])
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_one_and_two_step_series(self, R, T):
+        """A series of one or two steps: each loop runs once or twice, and
+        with one step the sum over t > 0 that forms dW is empty."""
+        models, datas, _, _ = stacked_problem(70 + T, R, 3, 5, T, per_set=True)
+        stacked, data = stack(models, datas, per_set=True)
+        rows = np.stack([np.random.default_rng(r).permutation(T) for r in range(R)])
+        H, preds = forward_states(stacked, data)
+        grads = gradient_sse(stacked, data, rows)
+        jacobians = prediction_jacobian(stacked, data, rows)
+        JJ, Je = jacobian_products(stacked, data, rows)
+        for r, (model, d) in enumerate(zip(models, datas)):
+            want_H, want_preds = oracles.forward_states(model, d)
+            assert H[r].tobytes() == want_H.tobytes()
+            assert preds[r].tobytes() == want_preds.tobytes()
+            assert grads[r].tobytes() == oracles.gradient_sse(model, d, rows[r]).tobytes()
+            J = oracles.prediction_jacobian(model, d, rows[r])
+            assert jacobians[r].tobytes() == J.tobytes()
+            want_JJ, want_Je = oracles.plain_products(J, want_preds[rows[r]] - d.targets[rows[r]])
+            assert JJ[r].tobytes() == want_JJ.tobytes() and Je[r].tobytes() == want_Je.tobytes()
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("per_set", [False, True])
+    def test_calls_leave_their_arguments_unchanged(self, R, per_set):
+        """The kernels write their time-major buffers in place, and
+        ``trainers._prefetch`` caches the states that the forward pass
+        returns: no call may write to the dataset, the weights or the
+        states it is passed, and H and the predictions come back
+        C-contiguous."""
+        models, datas, trains, _ = stacked_problem(80 + R, R, 3, 5, 150, per_set=per_set)
+        stacked, data = stack(models, datas, per_set)
+        model, rows = (stacked, np.stack(trains)) if R > 1 else (models[0], trains[0])
+        given = [a.tobytes() for a in (data.inputs, data.targets, model.theta)]
+        H, preds = forward_states(model, data)
+        assert H.flags.c_contiguous and preds.flags.c_contiguous
+        states = H.tobytes(), preds.tobytes()
+        gradient_sse(model, data, rows, (H, preds))
+        jacobian_products(model, data, rows, (H, preds))
+        prediction_jacobian(model, data, rows, (H, preds))
+        assert (H.tobytes(), preds.tobytes()) == states
+        assert [a.tobytes() for a in (data.inputs, data.targets, model.theta)] == given
+
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("T", [_PRODUCT_STEPS, 2 * _PRODUCT_STEPS + 57])
     def test_products_are_the_jacobian_products(self, R, T):
         """Within one chunk J'J and J'e are J.T @ J and J.T @ e bit for bit;
         past it they are the chunked sums, within 1e-12 of the plain ones."""
         models, datas, trains, _ = stacked_problem(60 + R, R, 3, 5, T, per_set=True)
-        stacked = models[0].with_params(np.stack([m.params_to_vector() for m in models]))
-        data = SequenceDataset(np.stack([d.inputs for d in datas]),
-                               np.stack([d.targets for d in datas]))
+        stacked, data = stack(models, datas, per_set=True)
         JJ, Je = jacobian_products(stacked, data, np.stack(trains))
         for r, (model, d, rows) in enumerate(zip(models, datas, trains)):
             J = oracles.prediction_jacobian(model, d, rows)
